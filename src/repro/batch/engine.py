@@ -38,6 +38,7 @@ from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.core.coefficients import CoefficientSet
 from repro.core.latency import COMPLEXITY_MODES, INFERENCE_RESULT_SIZE_MB
+from repro.core.power import SEGMENT_POWER_FACTORS
 from repro.core.segments import (
     COMMON_SEGMENTS,
     COMPUTE_SEGMENTS,
@@ -50,7 +51,6 @@ from repro.devices.device import XRDevice
 from repro.devices.edge_server import EdgeServer
 from repro.devices.resolve import resolve_device_spec, resolve_edge_spec
 from repro.exceptions import ConfigurationError, ModelDomainError
-from repro.measurement.truth import SEGMENT_POWER_FACTORS
 from repro.network.handoff import HandoffModel
 from repro.network.wifi import WifiLink
 from repro.queueing.vectorized import mm1_sojourn_ms

@@ -31,7 +31,7 @@ from repro.core.energy import XREnergyModel
 from repro.core.framework import XRPerformanceModel
 from repro.core.latency import XRLatencyModel
 from repro.core.offloading import OffloadingDecision, OffloadingPlanner
-from repro.core.power import PowerModel
+from repro.core.power import SEGMENT_POWER_FACTORS, PowerModel
 from repro.core.resources import ComputeResourceModel
 from repro.core.results import EnergyBreakdown, LatencyBreakdown, PerformanceReport
 from repro.core.segments import Segment
@@ -51,6 +51,7 @@ __all__ = [
     "PerformanceReport",
     "PowerModel",
     "QuadraticBlend",
+    "SEGMENT_POWER_FACTORS",
     "Segment",
     "SessionAnalyzer",
     "SessionReport",

@@ -24,7 +24,24 @@ from repro.config.network import NetworkConfig
 from repro.core.coefficients import CoefficientSet
 from repro.core.segments import RADIO_SEGMENTS, Segment
 from repro.exceptions import ModelDomainError
-from repro.measurement.truth import SEGMENT_POWER_FACTORS
+
+#: Relative power draw of each pipeline segment with respect to the mean
+#: computation power ``P_mean``.  Encoding leans on the hardware codec (cheap),
+#: inference leans on the GPU/NPU (expensive), transmission and handoff use the
+#: radio instead of the compute complex.
+SEGMENT_POWER_FACTORS: Dict[str, float] = {
+    "frame_generation": 0.85,
+    "volumetric": 1.00,
+    "external": 0.20,
+    "conversion": 0.90,
+    "encoding": 0.50,
+    "local_inference": 1.25,
+    "remote_inference": 0.15,
+    "transmission": 0.40,
+    "handoff": 0.40,
+    "rendering": 1.10,
+    "cooperation": 0.40,
+}
 
 
 @dataclass

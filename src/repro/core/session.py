@@ -25,7 +25,6 @@ from repro.exceptions import ConfigurationError
 from repro.simulation.noise import NoiseModel
 from repro.simulation.pipeline_sim import PipelineSimulator
 from repro.simulation.testbed import truth_coefficients
-from repro.measurement.truth import TestbedTruth
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,10 @@ class SessionAnalyzer:
     def _simulated_frames(
         self, app: ApplicationConfig, network: NetworkConfig, n_frames: int
     ) -> tuple[np.ndarray, np.ndarray]:
+        # Imported here: repro.core never imports repro.measurement at
+        # module scope (see docs/ARCHITECTURE.md).
+        from repro.measurement.truth import TestbedTruth
+
         truth = TestbedTruth()
         simulator = PipelineSimulator(
             device=self.model.device,

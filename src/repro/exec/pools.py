@@ -1,10 +1,9 @@
 """Pooled backends: hardened process and thread fan-out with salvage.
 
 Both backends share one collection loop (:class:`_PoolBackend`) carrying
-the per-task recovery discipline that used to live in
-``repro.faults.execution.run_hardened``: completed futures keep their
-results, and only the tasks that crashed, hung past the per-task timeout,
-or raised are re-executed serially, in payload order.  Because the serial
+the per-task recovery discipline: completed futures keep their results,
+and only the tasks that crashed, hung past the per-task timeout, or
+raised are re-executed serially, in payload order.  Because the serial
 path *is* the reference path (the same function on the same payload), a
 partially-recovered run is bit-identical to an all-serial run.
 
@@ -195,10 +194,9 @@ class _PoolBackend(ExecutionBackend):
 class ProcessPoolBackend(_PoolBackend):
     """Hardened ``ProcessPoolExecutor`` fan-out for CPU-bound tasks.
 
-    Absorbs the pickle-probe in-process fallback, BrokenProcessPool and
-    per-task-timeout salvage, and failed-task-only serial re-run that
-    ``repro.faults.execution.run_hardened`` introduced (that function is
-    now a thin shim over this class).
+    Adds the pickle-probe in-process fallback and BrokenProcessPool
+    salvage to the shared per-task-timeout salvage and failed-task-only
+    serial re-run.
     """
 
     name = "process"

@@ -29,7 +29,7 @@ We do not have the physical testbed, so this package substitutes it:
 from repro.measurement.datasets import MeasurementDataset, MeasurementSample, split_by_device
 from repro.measurement.regression import LinearRegression, RegressionResult
 from repro.measurement.synthetic import CampaignConfig, SyntheticCampaign
-from repro.measurement.truth import SEGMENT_POWER_FACTORS, TestbedTruth
+from repro.measurement.truth import TestbedTruth
 
 __all__ = [
     "CampaignConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "MeasurementDataset",
     "MeasurementSample",
     "RegressionResult",
-    "SEGMENT_POWER_FACTORS",
     "SyntheticCampaign",
     "TestbedTruth",
     "split_by_device",

@@ -5,7 +5,7 @@ per-frame handoff probability ``P(HO)`` from it (Eq. 17, citing location
 management analyses).  This module provides:
 
 * :class:`CoverageLayout` — a hexagonal-like grid of circular coverage zones
-  described as a :mod:`networkx` adjacency graph, tagged with the access
+  with 4-neighbour (up, down, left, right) adjacency, tagged with the access
   technology of each zone so handoffs can be classified as horizontal (same
   technology) or vertical (different technology),
 * :class:`RandomWalkMobility` — a discrete-time random walk of the XR device,
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ModelDomainError
@@ -42,7 +41,10 @@ class CoverageLayout:
     cols: int = 3
     cell_radius_m: float = 50.0
     technologies: Tuple[str, ...] = ("wifi-5ghz", "wifi-2.4ghz")
-    _graph: nx.Graph = field(init=False, repr=False)
+    _neighbors: Dict[Tuple[int, int], List[Tuple[int, int]]] = field(
+        init=False, repr=False
+    )
+    _technology: Dict[Tuple[int, int], str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -55,21 +57,31 @@ class CoverageLayout:
             )
         if not self.technologies:
             raise ConfigurationError("at least one access technology is required")
-        self._graph = nx.grid_2d_graph(self.rows, self.cols)
-        for index, node in enumerate(sorted(self._graph.nodes)):
-            self._graph.nodes[node]["technology"] = self.technologies[
-                index % len(self.technologies)
+        # Neighbours are listed up, down, left, right: the walk draws an
+        # index into this list, so the order fixes every seeded trajectory.
+        self._neighbors = {
+            (row, col): [
+                (r, c)
+                for r, c in (
+                    (row - 1, col),
+                    (row + 1, col),
+                    (row, col - 1),
+                    (row, col + 1),
+                )
+                if 0 <= r < self.rows and 0 <= c < self.cols
             ]
-            row, col = node
-            self._graph.nodes[node]["center_m"] = (
-                col * 2.0 * self.cell_radius_m,
-                row * 2.0 * self.cell_radius_m,
-            )
+            for row in range(self.rows)
+            for col in range(self.cols)
+        }
+        self._technology = {
+            zone: self.technologies[index % len(self.technologies)]
+            for index, zone in enumerate(self._neighbors)
+        }
 
     @property
-    def graph(self) -> nx.Graph:
-        """The zone adjacency graph (nodes are (row, col) tuples)."""
-        return self._graph
+    def zones(self) -> Tuple[Tuple[int, int], ...]:
+        """Every zone as a ``(row, col)`` tuple, in row-major order."""
+        return tuple(self._neighbors)
 
     @property
     def n_zones(self) -> int:
@@ -78,11 +90,11 @@ class CoverageLayout:
 
     def technology_of(self, zone: Tuple[int, int]) -> str:
         """Access technology of a zone."""
-        return self._graph.nodes[zone]["technology"]
+        return self._technology[zone]
 
     def neighbors(self, zone: Tuple[int, int]) -> List[Tuple[int, int]]:
         """Adjacent zones the device can move to."""
-        return list(self._graph.neighbors(zone))
+        return list(self._neighbors[zone])
 
     def is_vertical_transition(
         self, origin: Tuple[int, int], destination: Tuple[int, int]
@@ -128,7 +140,7 @@ class RandomWalkMobility:
             )
         if self.start_zone is None:
             self.start_zone = (self.layout.rows // 2, self.layout.cols // 2)
-        if self.start_zone not in self.layout.graph:
+        if self.start_zone not in self.layout.zones:
             raise ConfigurationError(
                 f"start zone {self.start_zone} is outside the layout"
             )
@@ -177,9 +189,11 @@ class RandomWalkMobility:
         handoff statistics consistent.
         """
         if n_steps <= 0:
-            raise ValueError(f"n_steps must be > 0, got {n_steps}")
+            raise ConfigurationError(f"n_steps must be > 0, got {n_steps}")
         if step_interval_ms <= 0.0:
-            raise ValueError(f"step interval must be > 0 ms, got {step_interval_ms}")
+            raise ConfigurationError(
+                f"step interval must be > 0 ms, got {step_interval_ms}"
+            )
         zones: List[Tuple[int, int]] = [self.start_zone]
         handoffs: List[bool] = []
         vertical: List[bool] = []

@@ -133,6 +133,13 @@ class TestMobilityComposition:
         assert levels <= {0.0, expected}
         assert expected in levels
 
+    def test_zero_epoch_length_rejected_like_drift(self):
+        # Both generators must fail the same way on the same bad input.
+        with pytest.raises(ConfigurationError):
+            drift_trace(5, epoch_ms=0.0)
+        with pytest.raises(ConfigurationError):
+            mobility_fading_trace(n_epochs=5, epoch_ms=0.0)
+
     def test_contention_reduces_throughput_below_single_user(self):
         trace = mobility_fading_trace(80, seed=5, mean_contenders=20, rician_k=1e9)
         # With fading suppressed (huge K factor) the per-user share alone

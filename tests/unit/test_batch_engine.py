@@ -323,10 +323,10 @@ class TestConsumers:
         assert model.power_model.clamp_count > 0
 
     def test_offloading_rank_honours_custom_energy_model(self, app, network):
+        from repro.core import SEGMENT_POWER_FACTORS
         from repro.core.energy import XREnergyModel
         from repro.core.offloading import OffloadingPlanner
         from repro.core.power import PowerModel
-        from repro.measurement.truth import SEGMENT_POWER_FACTORS
 
         base = XRPerformanceModel(device="XR6", edge="EDGE-AGX", app=app, network=network)
         doubled = PowerModel(

@@ -19,9 +19,12 @@ from repro.adaptive import HysteresisThreshold, burst_trace
 from repro.cosim import run_cosim
 from repro.exceptions import ConfigurationError
 from repro.exec import (
+    CHAOS_HANG_ENV,
+    CHAOS_HANG_TASK_ENV,
     CHAOS_KILL_ENV,
     DEFAULT_BACKEND,
     EXEC_BACKEND_ENV,
+    EXEC_TIMEOUT_ENV,
     ChaosKilledTask,
     ExecutionBackend,
     ProcessPoolBackend,
@@ -29,6 +32,7 @@ from repro.exec import (
     SerialBackend,
     ThreadPoolBackend,
     backend_names,
+    default_timeout_s,
     resolve_backend,
 )
 from repro.experiments import ExperimentRunner, ScenarioSpec, ScenarioSuite
@@ -55,6 +59,12 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
+
+
+def _flaky(x):
+    if x == 2:
+        raise ValueError("flaky payload")
+    return x * x
 
 
 class _LazyFuture:
@@ -112,6 +122,9 @@ class TestContract:
     def test_single_task(self, backend):
         assert backend.map_tasks(_square, [7], max_workers=4) == [49]
 
+    def test_single_worker(self, backend):
+        assert backend.map_tasks(_square, [1, 2, 3], max_workers=1) == [1, 4, 9]
+
     def test_submit_single_payload(self, backend):
         assert backend.submit(_square, 6) == 36
 
@@ -122,6 +135,22 @@ class TestContract:
     def test_non_positive_timeout_rejected(self, backend):
         with pytest.raises(ConfigurationError):
             backend.map_tasks(_square, [1, 2], max_workers=2, timeout_s=0.0)
+
+    def test_env_timeout_parsing(self, monkeypatch):
+        monkeypatch.delenv(EXEC_TIMEOUT_ENV, raising=False)
+        assert default_timeout_s() is None
+        monkeypatch.setenv(EXEC_TIMEOUT_ENV, "2.5")
+        assert default_timeout_s() == 2.5
+        monkeypatch.setenv(EXEC_TIMEOUT_ENV, "zero")
+        with pytest.raises(ConfigurationError):
+            default_timeout_s()
+        monkeypatch.setenv(EXEC_TIMEOUT_ENV, "-1")
+        with pytest.raises(ConfigurationError):
+            default_timeout_s()
+
+    def test_genuine_task_error_propagates(self, backend):
+        with pytest.raises(ValueError, match="flaky payload"):
+            backend.map_tasks(_flaky, [1, 2, 3], max_workers=2)
 
     def test_clean_run_counters_identical_across_backends(self):
         # The counter names (and values) are part of the contract: a clean
@@ -173,6 +202,26 @@ class TestScriptedSalvage:
         backend = backend_cls(pool_factory=pool)
         assert backend.map_tasks(_square, [3, 4], max_workers=2) == [9, 16]
 
+    def test_task_error_retried_serially_and_raised_directly(self):
+        registry = telemetry.enable()
+        pool = _FakePool({0: ValueError("worker-side failure")})
+        backend = ProcessPoolBackend(pool_factory=pool)
+        # The serial retry re-raises the deterministic error with a direct
+        # traceback instead of a pickled pool traceback.
+        with pytest.raises(ValueError, match="boom"):
+            backend.map_tasks(_boom, [7, 8], max_workers=2, label="t")
+        # Both tasks error (one scripted, one genuine) before the serial
+        # retry surfaces the deterministic failure.
+        assert registry.snapshot()["counters"]["t.retry.error"] == 2
+
+    def test_flaky_error_recovers_when_serial_path_succeeds(self):
+        # The future raises while the serial path computes the true value:
+        # recovery is per-task, not all-or-nothing.
+        pool = _FakePool({2: ValueError("transient")})
+        backend = ProcessPoolBackend(pool_factory=pool)
+        results = backend.map_tasks(_square, [1, 2, 3, 4], max_workers=4)
+        assert results == [1, 4, 9, 16]
+
     def test_retry_disabled_raises_first_pool_error(self):
         pool = _FakePool({1: BrokenProcessPool("worker died")})
         backend = ProcessPoolBackend(pool_factory=pool)
@@ -211,6 +260,18 @@ class TestChaosSalvage:
         # any future is collected (the per-task pin is in the scripted
         # salvage tests, which are deterministic).
         assert 1 <= counters["t.serial_reruns"] <= 3
+
+    def test_process_worker_hang_times_out_and_recovers(self, monkeypatch):
+        monkeypatch.setenv(CHAOS_HANG_TASK_ENV, "0")
+        monkeypatch.setenv(CHAOS_HANG_ENV, "30")
+        registry = telemetry.enable()
+        results = resolve_backend("process").map_tasks(
+            _square, [1, 2, 3], max_workers=2, timeout_s=1.0, label="t"
+        )
+        assert results == [1, 4, 9]
+        counters = registry.snapshot()["counters"]
+        assert counters["t.retry.timeout"] == 1
+        assert counters["t.serial_reruns"] >= 1
 
     def test_thread_worker_kill_recovers(self, monkeypatch):
         # A thread worker cannot os._exit without taking the interpreter

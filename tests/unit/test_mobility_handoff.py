@@ -1,5 +1,6 @@
 """Unit tests for mobility (random walk) and handoff models (Eq. 17)."""
 
+import numpy as np
 import pytest
 
 from repro.config.network import HandoffConfig
@@ -12,11 +13,12 @@ class TestCoverageLayout:
     def test_grid_size(self):
         layout = CoverageLayout(rows=3, cols=4)
         assert layout.n_zones == 12
-        assert len(layout.graph.nodes) == 12
+        assert len(layout.zones) == 12
+        assert layout.zones[:5] == ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0))
 
     def test_technology_assignment_cycles(self):
         layout = CoverageLayout(technologies=("a", "b"))
-        technologies = {layout.technology_of(zone) for zone in layout.graph.nodes}
+        technologies = {layout.technology_of(zone) for zone in layout.zones}
         assert technologies == {"a", "b"}
 
     def test_vertical_transition_detection(self):
@@ -25,12 +27,21 @@ class TestCoverageLayout:
 
     def test_single_technology_has_no_vertical_handoffs(self):
         layout = CoverageLayout(technologies=("wifi",))
-        for zone in layout.graph.nodes:
+        for zone in layout.zones:
             assert layout.vertical_neighbor_fraction(zone) == 0.0
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ConfigurationError):
             CoverageLayout(rows=0, cols=3)
+
+    def test_neighbors_listed_up_down_left_right(self):
+        # The walk indexes into this list, so the order is part of every
+        # seeded trajectory.
+        layout = CoverageLayout(rows=3, cols=4)
+        assert layout.neighbors((0, 0)) == [(1, 0), (0, 1)]
+        assert layout.neighbors((0, 2)) == [(1, 2), (0, 1), (0, 3)]
+        assert layout.neighbors((1, 2)) == [(0, 2), (2, 2), (1, 1), (1, 3)]
+        assert layout.neighbors((2, 3)) == [(1, 3), (2, 2)]
 
 
 class TestRandomWalk:
@@ -67,6 +78,29 @@ class TestRandomWalk:
         mobility = RandomWalkMobility(layout=CoverageLayout(), speed_m_per_s=1.4)
         trace = mobility.walk(n_steps=100, step_interval_ms=33.0, rng=rng)
         assert sum(trace.zone_occupancy().values()) == len(trace.zones)
+
+    def test_seeded_walk_zone_sequence_is_pinned(self):
+        mobility = RandomWalkMobility(
+            layout=CoverageLayout(rows=3, cols=4),
+            speed_m_per_s=30.0,
+            pause_probability=0.1,
+        )
+        trace = mobility.walk(
+            n_steps=12, step_interval_ms=1000.0, rng=np.random.default_rng(7)
+        )
+        assert trace.zones == [
+            (1, 2), (1, 2), (0, 2), (1, 2), (1, 2), (2, 2), (2, 2),
+            (2, 2), (2, 2), (2, 2), (1, 2), (2, 2), (2, 2),
+        ]
+        assert trace.n_handoffs == 5
+
+    @pytest.mark.parametrize(
+        "n_steps, step_interval_ms", [(0, 100.0), (10, 0.0), (10, -5.0)]
+    )
+    def test_invalid_walk_arguments_rejected(self, rng, n_steps, step_interval_ms):
+        mobility = RandomWalkMobility(layout=CoverageLayout())
+        with pytest.raises(ConfigurationError):
+            mobility.walk(n_steps=n_steps, step_interval_ms=step_interval_ms, rng=rng)
 
     def test_start_zone_must_exist(self):
         with pytest.raises(ConfigurationError):

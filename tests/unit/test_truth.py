@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core import SEGMENT_POWER_FACTORS
 from repro.exceptions import ModelDomainError
-from repro.measurement.truth import DEVICE_FACTORS, SEGMENT_POWER_FACTORS
+from repro.measurement.truth import DEVICE_FACTORS
 
 
 class TestComputeCapability:
