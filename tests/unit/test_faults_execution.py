@@ -1,10 +1,12 @@
-"""Tests for the hardened execution seam (:func:`repro.faults.execution
-.run_hardened`): per-task recovery, timeouts, chaos hooks and telemetry.
+"""Tests for the process-pool seam that fault-injected runs go through
+(:class:`repro.exec.ProcessPoolBackend`): validation, serial paths,
+per-task recovery and the chaos hooks.
 
-The crash/hang tests inject faults two ways — a fake executor whose futures
-fail deterministically (fast, no subprocesses) and the ``REPRO_CHAOS_*``
-environment hooks against a real :class:`ProcessPoolExecutor` (end-to-end,
-exactly what the CI chaos job runs).
+Faults are injected two ways — a fake executor whose futures fail
+deterministically (fast, no subprocesses) and the ``REPRO_CHAOS_*``
+environment hooks against a real process pool (end to end).  The
+backend-parametrized contract lives in ``test_exec_backends.py``; this
+module pins the process backend on its own.
 """
 
 import concurrent.futures
@@ -14,14 +16,7 @@ import pytest
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.faults.execution import (
-    CHAOS_HANG_ENV,
-    CHAOS_HANG_TASK_ENV,
-    CHAOS_KILL_ENV,
-    EXEC_TIMEOUT_ENV,
-    default_timeout_s,
-    run_hardened,
-)
+from repro.exec import CHAOS_KILL_ENV, ProcessPoolBackend
 
 
 @pytest.fixture(autouse=True)
@@ -32,16 +27,6 @@ def _null_registry():
 
 
 def _square(x):
-    return x * x
-
-
-def _boom(x):
-    raise ValueError(f"boom {x}")
-
-
-def _flaky(x):
-    if x == 2:
-        raise ValueError("flaky payload")
     return x * x
 
 
@@ -91,58 +76,46 @@ class _FakePool:
 
 class TestValidation:
     def test_max_workers_below_one_rejected(self):
+        backend = ProcessPoolBackend()
         with pytest.raises(ConfigurationError):
-            run_hardened(_square, [1], max_workers=0)
+            backend.map_tasks(_square, [1], max_workers=0)
         with pytest.raises(ConfigurationError):
-            run_hardened(_square, [1], max_workers=-2)
+            backend.map_tasks(_square, [1], max_workers=-2)
 
     def test_timeout_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            run_hardened(_square, [1, 2], max_workers=2, timeout_s=0.0)
-
-    def test_env_timeout_parsing(self, monkeypatch):
-        monkeypatch.delenv(EXEC_TIMEOUT_ENV, raising=False)
-        assert default_timeout_s() is None
-        monkeypatch.setenv(EXEC_TIMEOUT_ENV, "2.5")
-        assert default_timeout_s() == 2.5
-        monkeypatch.setenv(EXEC_TIMEOUT_ENV, "zero")
-        with pytest.raises(ConfigurationError):
-            default_timeout_s()
-        monkeypatch.setenv(EXEC_TIMEOUT_ENV, "-1")
-        with pytest.raises(ConfigurationError):
-            default_timeout_s()
+            ProcessPoolBackend().map_tasks(
+                _square, [1, 2], max_workers=2, timeout_s=0.0
+            )
 
 
 class TestSerialPaths:
     def test_empty_payloads(self):
-        assert run_hardened(_square, [], max_workers=4) == []
-
-    def test_single_worker_runs_serially(self):
-        assert run_hardened(_square, [1, 2, 3], max_workers=1) == [1, 4, 9]
+        assert ProcessPoolBackend().map_tasks(_square, [], max_workers=4) == []
 
     def test_single_task_runs_serially(self):
-        assert run_hardened(_square, [5], max_workers=4) == [25]
+        assert ProcessPoolBackend().map_tasks(_square, [5], max_workers=4) == [25]
 
     def test_unpicklable_payload_falls_back(self):
         registry = telemetry.enable()
         payloads = [lambda: 1, lambda: 2]  # lambdas cannot cross a pool
-        results = run_hardened(lambda f: f(), payloads, max_workers=2, label="t")
+        results = ProcessPoolBackend().map_tasks(
+            lambda f: f(), payloads, max_workers=2, label="t"
+        )
         assert results == [1, 2]
         assert registry.snapshot()["counters"]["t.fallback.unpicklable"] == 1
 
 
 class TestFakePoolRecovery:
     def test_all_tasks_succeed(self):
-        results = run_hardened(
-            _square, [1, 2, 3], max_workers=3, pool_factory=_FakePool({})
-        )
-        assert results == [1, 4, 9]
+        backend = ProcessPoolBackend(pool_factory=_FakePool({}))
+        assert backend.map_tasks(_square, [1, 2, 3], max_workers=3) == [1, 4, 9]
 
     def test_broken_pool_reruns_only_failed_tasks(self):
         registry = telemetry.enable()
         pool = _FakePool({1: BrokenProcessPool("worker died")})
-        results = run_hardened(
-            _square, [1, 2, 3], max_workers=3, label="t", pool_factory=pool
+        results = ProcessPoolBackend(pool_factory=pool).map_tasks(
+            _square, [1, 2, 3], max_workers=3, label="t"
         )
         assert results == [1, 4, 9]
         counters = registry.snapshot()["counters"]
@@ -150,43 +123,25 @@ class TestFakePoolRecovery:
         assert counters["t.serial_reruns"] == 1
         assert counters["t.tasks"] == 3
 
-    def test_task_exception_retried_serially_and_raises_directly(self):
-        registry = telemetry.enable()
-        pool = _FakePool({0: ValueError("worker-side failure")})
-        # The serial retry re-raises the deterministic error with a direct
-        # traceback instead of a pickled pool traceback.
-        with pytest.raises(ValueError, match="boom"):
-            run_hardened(_boom, [7, 8], max_workers=2, label="t", pool_factory=pool)
-        # Both tasks error (one scripted, one genuine) before the serial
-        # retry surfaces the deterministic failure.
-        assert registry.snapshot()["counters"]["t.retry.error"] == 2
-
-    def test_flaky_error_recovers_when_serial_path_succeeds(self):
-        # _FakePool raises from the future while the serial path computes
-        # the true value: recovery is per-task, not all-or-nothing.
-        pool = _FakePool({2: ValueError("transient")})
-        results = run_hardened(
-            _square, [1, 2, 3, 4], max_workers=4, label="t", pool_factory=pool
-        )
-        assert results == [1, 4, 9, 16]
-
     def test_cancelled_future_joins_serial_retry(self):
         pool = _FakePool({0: concurrent.futures.CancelledError()})
-        results = run_hardened(
-            _square, [3, 4], max_workers=2, label="t", pool_factory=pool
+        results = ProcessPoolBackend(pool_factory=pool).map_tasks(
+            _square, [3, 4], max_workers=2, label="t"
         )
         assert results == [9, 16]
 
 
 class TestRealPoolChaos:
     def test_plain_pooled_run_matches_serial(self):
-        pooled = run_hardened(_square, [1, 2, 3, 4], max_workers=2)
+        pooled = ProcessPoolBackend().map_tasks(_square, [1, 2, 3, 4], max_workers=2)
         assert pooled == [_square(p) for p in [1, 2, 3, 4]]
 
     def test_killed_worker_recovers_per_task(self, monkeypatch):
         monkeypatch.setenv(CHAOS_KILL_ENV, "1")
         registry = telemetry.enable()
-        results = run_hardened(_square, [1, 2, 3], max_workers=2, label="t")
+        results = ProcessPoolBackend().map_tasks(
+            _square, [1, 2, 3], max_workers=2, label="t"
+        )
         assert results == [1, 4, 9]
         counters = registry.snapshot()["counters"]
         # At least the killed task was retried.  Under heavy load the pool
@@ -196,25 +151,9 @@ class TestRealPoolChaos:
         assert counters.get("t.retry.broken_pool", 0) >= 1
         assert 1 <= counters["t.serial_reruns"] <= 3
 
-    def test_hung_worker_times_out_and_recovers(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_HANG_TASK_ENV, "0")
-        monkeypatch.setenv(CHAOS_HANG_ENV, "30")
-        registry = telemetry.enable()
-        results = run_hardened(
-            _square, [1, 2, 3], max_workers=2, timeout_s=1.0, label="t"
-        )
-        assert results == [1, 4, 9]
-        counters = registry.snapshot()["counters"]
-        assert counters["t.retry.timeout"] == 1
-        assert counters["t.serial_reruns"] >= 1
-
     def test_chaos_hooks_do_not_reach_serial_retries(self, monkeypatch):
         # Killing every task index still converges: the serial retry calls
         # fn directly, bypassing the worker-side chaos wrapper.
         monkeypatch.setenv(CHAOS_KILL_ENV, "0,1,2")
-        results = run_hardened(_square, [1, 2, 3], max_workers=2)
+        results = ProcessPoolBackend().map_tasks(_square, [1, 2, 3], max_workers=2)
         assert results == [1, 4, 9]
-
-    def test_genuine_error_propagates_from_real_pool(self):
-        with pytest.raises(ValueError, match="flaky payload"):
-            run_hardened(_flaky, [1, 2, 3], max_workers=2)
