@@ -7,10 +7,11 @@ reads the epoch's :class:`~repro.adaptive.traces.EpochConditions`, asks the
 controller for an operating point, and charges the point's per-frame
 latency/energy/AoI under the *true* epoch conditions.
 
-Candidate evaluation goes through the vectorized batch engine
-(:func:`repro.batch.evaluate_points`).  Because the throughput is a
-vectorized axis and the (quantized) handoff probability takes only a few
-distinct values per trace, the runtime can pre-warm its per-epoch sweep
+Candidate evaluation goes through the structure-group path of the
+vectorized batch engine (:func:`repro.batch.engine.group_points`): the
+candidates are grouped once, the epoch throughput streams in as a column,
+and each distinct (quantized) handoff probability costs one conditioned
+network per group.  The runtime therefore pre-warms its per-epoch sweep
 cache with **one** batched call over all ``epochs x candidates`` points —
 after which a full-grid controller like
 :class:`~repro.adaptive.controllers.GreedyBatchSweep` costs an array argmin
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.adaptive.traces import ConditionTrace, EpochConditions
-from repro.batch.engine import evaluate_points
+from repro.batch.engine import PointGroup, _evaluate_groups, group_points
 from repro.batch.grid import OperatingPoint
 from repro.batch.result import BatchResult
 from repro.cnn.zoo import get_cnn
@@ -152,9 +153,11 @@ class ControlContext:
     """Everything a controller may consult when deciding an epoch.
 
     The context owns the candidate set, the deadline, the quality scores
-    and a memoized per-conditions sweep of the whole candidate list.  A
-    pre-warm pass (:meth:`prewarm`) fills the memo for every epoch of a
-    trace with a single batched :func:`evaluate_points` call.
+    and a memoized per-conditions sweep of the whole candidate list.  The
+    candidates are bucketed into structure groups once, at construction;
+    a live sweep and a pre-warm pass (:meth:`prewarm`, every epoch of a
+    trace) both evaluate those groups in a single batched call, with no
+    per-point config objects.
 
     Args:
         candidates: the operating points the controller chooses among.
@@ -190,6 +193,8 @@ class ControlContext:
         self.complexity_mode = complexity_mode
         self.include_aoi = include_aoi
         self.quality = np.asarray([candidate_quality(p) for p in self.candidates])
+        self._groups = group_points(self.candidates)
+        self._conditioned_networks: Dict[float, List[NetworkConfig]] = {}
         self._memo: Dict[Tuple[float, float], CandidateEvaluation] = {}
 
     @property
@@ -197,56 +202,74 @@ class ControlContext:
         """Number of operating points under control."""
         return len(self.candidates)
 
-    # -- condition application ------------------------------------------------
-
-    def _conditioned_point(
-        self, point: OperatingPoint, conditions: EpochConditions
-    ) -> OperatingPoint:
-        network = point.network
-        handoff = replace(
-            network.handoff,
-            enabled=True,
-            handoff_probability=float(conditions.handoff_probability),
-        )
-        return replace(
-            point,
-            network=replace(
-                network,
-                throughput_mbps=float(conditions.throughput_mbps),
-                handoff=handoff,
-            ),
-        )
-
     @staticmethod
     def _key(conditions: EpochConditions) -> Tuple[float, float]:
         """Sweep-memo key: the *exact* (throughput, handoff) pair.
 
         Bundled trace generators quantize the handoff probability to the
         coarse 0.005 grid of :data:`repro.adaptive.traces
-        .HANDOFF_PROBABILITY_STEP` (that is a batching optimisation — fewer
-        distinct values mean fewer groups per pre-warm call), but the key
-        deliberately does **not** re-quantize: hand-built or co-sim-generated
-        conditions that fall off that grid get their own memo entry instead
-        of silently aliasing a neighbouring grid point's arrays.
+        .HANDOFF_PROBABILITY_STEP` (that is a batching optimisation — each
+        distinct value costs one conditioned network per candidate group),
+        but the key deliberately does **not** re-quantize: hand-built or
+        co-sim-generated conditions that fall off that grid get their own
+        memo entry instead of silently aliasing a neighbouring grid point's
+        arrays.
         """
         return (float(conditions.throughput_mbps), float(conditions.handoff_probability))
 
     # -- evaluation ------------------------------------------------------------
 
-    def _evaluate(self, conditions: EpochConditions) -> CandidateEvaluation:
-        """Evaluate every candidate under ``conditions`` (no memoization)."""
-        points = [self._conditioned_point(p, conditions) for p in self.candidates]
-        result = evaluate_points(
-            points,
-            coefficients=self.coefficients,
-            complexity_mode=self.complexity_mode,
-            include_aoi=self.include_aoi,
+    def _networks_at(self, handoff_probability: float) -> List[NetworkConfig]:
+        """Each candidate group's network with handoffs at ``handoff_probability`` (memoized)."""
+        networks = self._conditioned_networks.get(handoff_probability)
+        if networks is None:
+            networks = [
+                replace(
+                    group.network,
+                    handoff=replace(
+                        group.network.handoff,
+                        enabled=True,
+                        handoff_probability=handoff_probability,
+                    ),
+                )
+                for group in self._groups
+            ]
+            self._conditioned_networks[handoff_probability] = networks
+        return networks
+
+    def _evaluate(self, fresh: Sequence[EpochConditions]) -> None:
+        """Memoize every candidate's sweep under each distinct condition in ``fresh``.
+
+        One batched call: the candidate groups are tiled once per epoch that
+        shares a handoff probability, with the epoch throughputs as a column.
+        """
+        n = self.n_candidates
+        epochs_at: Dict[float, List[int]] = {}
+        for i, conditions in enumerate(fresh):
+            epochs_at.setdefault(float(conditions.handoff_probability), []).append(i)
+        throughput = np.asarray([c.throughput_mbps for c in fresh], dtype=float)
+        groups: List[PointGroup] = []
+        for probability, indices in epochs_at.items():
+            epochs = np.asarray(indices, dtype=np.intp)
+            for group, network in zip(self._groups, self._networks_at(probability)):
+                columns = {name: np.tile(col, len(epochs)) for name, col in group.columns.items()}
+                columns["throughput_mbps"] = np.repeat(throughput[epochs], len(group.positions))
+                positions = (epochs[:, None] * n + group.positions).ravel()
+                groups.append(
+                    replace(group, network=network, positions=positions, columns=columns)
+                )
+        result = _evaluate_groups(
+            groups, len(fresh) * n, self.coefficients, self.complexity_mode, self.include_aoi
         )
-        return CandidateEvaluation(
-            latency_ms=result.total_latency_ms,
-            energy_mj=result.total_energy_mj,
-            min_roi=_min_roi_array(result),
-        )
+        latency, energy = result.total_latency_ms, result.total_energy_mj
+        min_roi = _min_roi_array(result)
+        for i, conditions in enumerate(fresh):
+            window = slice(i * n, (i + 1) * n)
+            self._memo[self._key(conditions)] = CandidateEvaluation(
+                latency_ms=latency[window],
+                energy_mj=energy[window],
+                min_roi=min_roi[window] if min_roi is not None else None,
+            )
 
     def sweep(self, conditions: EpochConditions) -> CandidateEvaluation:
         """Evaluate every candidate under the given conditions (memoized).
@@ -259,11 +282,10 @@ class ControlContext:
         """
         key = self._key(conditions)
         cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        evaluation = self._evaluate(conditions)
-        self._memo[key] = evaluation
-        return evaluation
+        if cached is None:
+            self._evaluate([conditions])
+            cached = self._memo[key]
+        return cached
 
     def prewarm(self, trace: ConditionTrace) -> int:
         """Fill the sweep memo for every epoch of ``trace`` in one batch call.
@@ -274,42 +296,15 @@ class ControlContext:
         with telemetry.get().span(
             "adaptive.prewarm", epochs=trace.n_epochs, candidates=self.n_candidates
         ) as sp:
-            distinct = self._prewarm(trace)
-            sp.annotate(distinct_keys=distinct)
-            return distinct
-
-    def _prewarm(self, trace: ConditionTrace) -> int:
-        fresh = []
-        seen = set()
-        for epoch in trace:
-            key = self._key(epoch)
-            if key in self._memo or key in seen:
-                continue
-            seen.add(key)
-            fresh.append(epoch)
-        if not fresh:
-            return 0
-        points: List[OperatingPoint] = []
-        for epoch in fresh:
-            points.extend(self._conditioned_point(p, epoch) for p in self.candidates)
-        result = evaluate_points(
-            points,
-            coefficients=self.coefficients,
-            complexity_mode=self.complexity_mode,
-            include_aoi=self.include_aoi,
-        )
-        latency = result.total_latency_ms
-        energy = result.total_energy_mj
-        min_roi = _min_roi_array(result)
-        n = self.n_candidates
-        for i, epoch in enumerate(fresh):
-            window = slice(i * n, (i + 1) * n)
-            self._memo[self._key(epoch)] = CandidateEvaluation(
-                latency_ms=latency[window],
-                energy_mj=energy[window],
-                min_roi=min_roi[window] if min_roi is not None else None,
-            )
-        return len(fresh)
+            fresh = {}
+            for epoch in trace:
+                key = self._key(epoch)
+                if key not in self._memo:
+                    fresh.setdefault(key, epoch)
+            if fresh:
+                self._evaluate(list(fresh.values()))
+            sp.annotate(distinct_keys=len(fresh))
+            return len(fresh)
 
     # -- selection --------------------------------------------------------------
 
@@ -552,8 +547,9 @@ class AdaptiveRuntime:
     """Replay a condition trace against a controller and report the QoE.
 
     One runtime owns the trace, the candidate set and the (shared) sweep
-    cache, so several controllers can be compared on identical conditions
-    without re-evaluating anything::
+    cache, pre-warmed for every trace epoch with one batched call at
+    construction, so several controllers can be compared on identical
+    conditions without re-evaluating anything::
 
         runtime = AdaptiveRuntime(trace=burst_trace(400))
         for controller in (GreedyBatchSweep(), HysteresisThreshold()):
@@ -569,9 +565,6 @@ class AdaptiveRuntime:
         objective: default selection objective.
         coefficients / complexity_mode: forwarded to the batch engine.
         include_aoi: evaluate AoI per point (adds the AoI-violation rate).
-        prewarm: pre-fill the sweep cache for every trace epoch with one
-            batched call (recommended; disable only to measure the
-            per-epoch evaluation path).
         faults: optional deterministic fault schedule replayed alongside the
             trace.  The runtime models a single edge server (edge index 0):
             link degradation reshapes each faulted epoch's conditions,
@@ -592,7 +585,6 @@ class AdaptiveRuntime:
         coefficients: Optional[CoefficientSet] = None,
         complexity_mode: str = "paper",
         include_aoi: bool = True,
-        prewarm: bool = True,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         self.trace = trace
@@ -619,8 +611,7 @@ class AdaptiveRuntime:
                 for p in self.context.candidates
             ]
         )
-        if prewarm:
-            self.context.prewarm(trace)
+        self.context.prewarm(trace)
 
     @property
     def candidates(self) -> Tuple[OperatingPoint, ...]:

@@ -29,6 +29,7 @@ materialised replay format for traces that came from somewhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -47,9 +48,9 @@ MIN_THROUGHPUT_MBPS: float = 0.5
 #: Handoff probabilities are quantized to this step so that a whole trace
 #: contains only a few distinct values.  The handoff probability is part of
 #: a batch group's *structure* (unlike throughput, which is a vectorized
-#: axis), so fewer distinct values means fewer groups when a full
-#: epochs-x-candidates sweep is evaluated in one :func:`evaluate_points`
-#: call — the optimisation the adaptive runtime's pre-warm pass relies on.
+#: column), so the adaptive runtime builds one conditioned network per
+#: candidate group for each distinct value; fewer distinct values mean fewer
+#: networks and fewer groups in its one-call epochs-x-candidates pre-warm.
 HANDOFF_PROBABILITY_STEP: float = 0.005
 
 
@@ -82,11 +83,15 @@ class EpochConditions:
     fading_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time_ms < 0.0:
-            raise ConfigurationError(f"epoch time must be >= 0 ms, got {self.time_ms}")
-        if self.throughput_mbps <= 0.0:
+        # Every check is phrased so NaN fails it: a NaN sweep would make
+        # deadline-first selection quietly fall back to candidate 0.
+        if not (math.isfinite(self.time_ms) and self.time_ms >= 0.0):
             raise ConfigurationError(
-                f"epoch throughput must be > 0 Mbps, got {self.throughput_mbps}"
+                f"epoch time must be finite and >= 0 ms, got {self.time_ms}"
+            )
+        if not (math.isfinite(self.throughput_mbps) and self.throughput_mbps > 0.0):
+            raise ConfigurationError(
+                f"epoch throughput must be finite and > 0 Mbps, got {self.throughput_mbps}"
             )
         if not 0.0 <= self.handoff_probability <= 1.0:
             raise ConfigurationError(
@@ -96,9 +101,9 @@ class EpochConditions:
             raise ConfigurationError(
                 f"n_contenders must be >= 1, got {self.n_contenders}"
             )
-        if self.fading_gain <= 0.0:
+        if not (math.isfinite(self.fading_gain) and self.fading_gain > 0.0):
             raise ConfigurationError(
-                f"fading gain must be > 0, got {self.fading_gain}"
+                f"fading gain must be finite and > 0, got {self.fading_gain}"
             )
 
 

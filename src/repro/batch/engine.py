@@ -4,10 +4,10 @@ The scalar path (:class:`repro.core.framework.XRPerformanceModel`) evaluates
 one operating point per call, constructing an application config, a latency
 breakdown, an energy breakdown and an AoI result each time.  This engine
 evaluates an entire grid of operating points with a handful of NumPy array
-expressions instead: points are bucketed into *groups* that share their
-structure (device, edge, execution mode, and every configuration field that
-is not a numeric axis), and each group is evaluated by
-:class:`_GroupEvaluator` in one vectorized pass over the closed-form
+expressions instead: points are bucketed into *groups* (:class:`PointGroup`)
+that share their structure (device, edge, execution mode, and every
+configuration field that is not a numeric axis), and each group is evaluated
+by :class:`_GroupEvaluator` in one vectorized pass over the closed-form
 equations of Sections IV–VI.
 
 Bit compatibility
@@ -26,14 +26,15 @@ of the group structure and may differ freely *between* groups.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.cnn.zoo import get_cnn
-from repro.config.application import ApplicationConfig, ExecutionMode
+from repro.config.application import ApplicationConfig, EncoderConfig, ExecutionMode
 from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.core.coefficients import CoefficientSet
@@ -66,20 +67,71 @@ _as_device_spec = resolve_device_spec
 _as_edge_spec = resolve_edge_spec
 
 
-def _canonical_app(app: ApplicationConfig) -> ApplicationConfig:
-    """Strip the vectorized numeric fields so structurally-equal apps group."""
-    return replace(
-        app,
-        frame_side_px=1.0,
-        cpu_freq_ghz=1.0,
-        gpu_freq_ghz=1.0,
-        encoder=replace(app.encoder, bitrate_mbps=1.0),
-    )
+#: The :data:`NUMERIC_AXES` of an operating point, in that order.
+_point_axes = attrgetter(
+    "app.cpu_freq_ghz",
+    "app.frame_side_px",
+    "app.gpu_freq_ghz",
+    "app.encoder.bitrate_mbps",
+    "network.throughput_mbps",
+)
+#: Every other config field of an operating point: its group *structure*.
+_point_structure = attrgetter(
+    *(
+        f"app.{f.name}"
+        for f in fields(ApplicationConfig)
+        if f.name not in ("cpu_freq_ghz", "frame_side_px", "gpu_freq_ghz", "encoder")
+    ),
+    *(f"app.encoder.{f.name}" for f in fields(EncoderConfig) if f.name != "bitrate_mbps"),
+    *(f"network.{f.name}" for f in fields(NetworkConfig) if f.name != "throughput_mbps"),
+)
 
 
-def _canonical_network(network: NetworkConfig) -> NetworkConfig:
-    """Strip the vectorized throughput so structurally-equal networks group."""
-    return replace(network, throughput_mbps=1.0)
+@dataclass(frozen=True)
+class PointGroup:
+    """Operating points that share one structure, with their numeric axes as columns.
+
+    Attributes:
+        device / edge: the resolved device and edge specifications.
+        app / network: a representative application and network; only their
+            structure (non-numeric) fields are read.
+        positions: global result index of each point of the group.
+        columns: one array per :data:`NUMERIC_AXES` name, aligned with
+            ``positions``.
+    """
+
+    device: DeviceSpec
+    edge: Optional[EdgeServerSpec]
+    app: ApplicationConfig
+    network: NetworkConfig
+    positions: np.ndarray
+    columns: Mapping[str, np.ndarray]
+
+
+def group_points(points: Sequence[OperatingPoint]) -> List[PointGroup]:
+    """Bucket points by device, edge and structure, in order of first occurrence.
+
+    Each group's representative app/network is its first point's.
+    """
+    buckets: Dict[tuple, List[int]] = {}
+    for index, point in enumerate(points):
+        key = (_as_device_spec(point.device), _as_edge_spec(point.edge), _point_structure(point))
+        buckets.setdefault(key, []).append(index)
+    groups: List[PointGroup] = []
+    for (device, edge, _), indices in buckets.items():
+        first = points[indices[0]]
+        columns = np.array([_point_axes(points[i]) for i in indices], dtype=float).T.copy()
+        groups.append(
+            PointGroup(
+                device=device,
+                edge=edge,
+                app=first.app,
+                network=first.network,
+                positions=np.asarray(indices, dtype=np.intp),
+                columns=dict(zip(NUMERIC_AXES, columns)),
+            )
+        )
+    return groups
 
 
 class _GroupEvaluator:
@@ -243,7 +295,7 @@ class _GroupEvaluator:
         """Eq. (3) blended quadratic, clamped at the resource-model floor."""
         share = self.app.cpu_share
         blend = self.coefficients.resource
-        if np.any(fc <= 0.0) or np.any(fg <= 0.0):
+        if not (np.all(fc > 0.0) and np.all(fg > 0.0)):
             raise ModelDomainError("clock frequencies must be > 0 at every point")
         a0, a1, a2 = blend.cpu
         b0, b1, b2 = blend.gpu
@@ -309,9 +361,10 @@ class _GroupEvaluator:
             thr = np.full(n, self.link_budget_throughput)
         else:
             thr = np.asarray(throughput_mbps, dtype=float)
-        if np.any(side <= 0.0):
+        # Written as "not all > 0" so NaN fails the check too.
+        if not np.all(side > 0.0):
             raise ConfigurationError("frame sides must be > 0 at every point")
-        if np.any(thr <= 0.0):
+        if not np.all(thr > 0.0):
             raise ConfigurationError("throughputs must be > 0 at every point")
 
         c = self._client_compute(fc, fg)
@@ -537,58 +590,30 @@ def evaluate_grid(
         include_aoi: evaluate the AoI model per point (off by default, like
             the scalar ``sweep``).
     """
-    with telemetry.get().span(
-        "batch.evaluate_grid",
-        points=grid.n_points,
-        groups=len(grid.devices) * len(grid.modes),
-    ):
-        return _evaluate_grid(grid, coefficients, complexity_mode, include_aoi)
-
-
-def _evaluate_grid(
-    grid: ParameterGrid,
-    coefficients: Optional[CoefficientSet],
-    complexity_mode: str,
-    include_aoi: bool,
-) -> BatchResult:
-    coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
     numeric = grid.numeric_arrays()
     per_group = grid.points_per_group
     edge = _as_edge_spec(grid.edge)
-    canonical_network = grid.network
-
-    groups: List[GroupResult] = []
-    offset = 0
-    for device_like, mode in grid.group_keys():
-        device = _as_device_spec(device_like)
-        app = grid.group_app(mode)
-        evaluator = _GroupEvaluator(
-            device=device,
+    groups = [
+        PointGroup(
+            device=_as_device_spec(device_like),
             edge=edge,
-            app=app,
-            network=canonical_network,
-            coefficients=coefficients,
-            complexity_mode=complexity_mode,
-            include_aoi=include_aoi,
+            app=grid.group_app(mode),
+            network=grid.network,
+            positions=np.arange(i * per_group, (i + 1) * per_group, dtype=np.intp),
+            columns=numeric,
         )
-        positions = np.arange(offset, offset + per_group, dtype=np.intp)
-        groups.append(
-            evaluator.evaluate(
-                frame_side_px=numeric["frame_side_px"],
-                cpu_freq_ghz=numeric["cpu_freq_ghz"],
-                gpu_freq_ghz=numeric["gpu_freq_ghz"],
-                bitrate_mbps=numeric["bitrate_mbps"],
-                throughput_mbps=numeric["throughput_mbps"],
-                positions=positions,
-            )
-        )
-        offset += per_group
-
-    n_groups = len(grid.devices) * len(grid.modes)
-    coords = {
-        name: np.tile(numeric[name], n_groups) for name in NUMERIC_AXES
-    }
-    return BatchResult(groups=groups, n_points=grid.n_points, coords=coords)
+        for i, (device_like, mode) in enumerate(grid.group_keys())
+    ]
+    coords = {name: np.tile(numeric[name], len(groups)) for name in NUMERIC_AXES}
+    return _evaluate_groups(
+        groups,
+        grid.n_points,
+        coefficients,
+        complexity_mode,
+        include_aoi,
+        span="batch.evaluate_grid",
+        coords=coords,
+    )
 
 
 def evaluate_points(
@@ -600,10 +625,10 @@ def evaluate_points(
     """Evaluate an explicit (possibly heterogeneous) list of operating points.
 
     Points are bucketed by structure — device, edge, and every configuration
-    field that is not a vectorized numeric axis — and each bucket is
-    evaluated in one vectorized pass, so ``N`` points over ``G`` distinct
-    structures cost ``G`` group evaluations rather than ``N`` scalar ones.
-    Result arrays are aligned with the input order.
+    field that is not a vectorized numeric axis (:func:`group_points`) — and
+    each bucket is evaluated in one vectorized pass, so ``N`` points over
+    ``G`` distinct structures cost ``G`` group evaluations rather than ``N``
+    scalar ones.  Result arrays are aligned with the input order.
 
     Args:
         points: the operating points to evaluate.
@@ -614,61 +639,33 @@ def evaluate_points(
     """
     if not points:
         raise ConfigurationError("evaluate_points needs at least one operating point")
-    with telemetry.get().span("batch.evaluate_points", points=len(points)) as sp:
-        result = _evaluate_points(points, coefficients, complexity_mode, include_aoi)
-        sp.annotate(groups=len(result.groups))
-        return result
+    return _evaluate_groups(
+        group_points(points), len(points), coefficients, complexity_mode, include_aoi
+    )
 
 
-def _evaluate_points(
-    points: Sequence[OperatingPoint],
+def _evaluate_groups(
+    groups: Sequence[PointGroup],
+    n_points: int,
     coefficients: Optional[CoefficientSet],
     complexity_mode: str,
     include_aoi: bool,
+    span: str = "batch.evaluate_points",
+    coords: Optional[Dict[str, np.ndarray]] = None,
 ) -> BatchResult:
+    """Evaluate structure groups whose positions tile ``range(n_points)``."""
     coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
-
-    buckets: Dict[tuple, Tuple[_GroupEvaluator, List[int], Dict[str, List[float]]]] = {}
-    for index, point in enumerate(points):
-        device = _as_device_spec(point.device)
-        edge = _as_edge_spec(point.edge)
-        key = (
-            device,
-            edge,
-            _canonical_app(point.app),
-            _canonical_network(point.network),
-        )
-        bucket = buckets.get(key)
-        if bucket is None:
-            evaluator = _GroupEvaluator(
-                device=device,
-                edge=edge,
-                app=point.app,
-                network=point.network,
+    with telemetry.get().span(span, points=n_points, groups=len(groups)):
+        results = [
+            _GroupEvaluator(
+                device=group.device,
+                edge=group.edge,
+                app=group.app,
+                network=group.network,
                 coefficients=coefficients,
                 complexity_mode=complexity_mode,
                 include_aoi=include_aoi,
-            )
-            bucket = (evaluator, [], {name: [] for name in NUMERIC_AXES})
-            buckets[key] = bucket
-        _, indices, values = bucket
-        indices.append(index)
-        values["cpu_freq_ghz"].append(point.app.cpu_freq_ghz)
-        values["frame_side_px"].append(point.app.frame_side_px)
-        values["gpu_freq_ghz"].append(point.app.gpu_freq_ghz)
-        values["bitrate_mbps"].append(point.app.encoder.bitrate_mbps)
-        values["throughput_mbps"].append(point.network.throughput_mbps)
-
-    groups: List[GroupResult] = []
-    for evaluator, indices, values in buckets.values():
-        groups.append(
-            evaluator.evaluate(
-                frame_side_px=np.asarray(values["frame_side_px"], dtype=float),
-                cpu_freq_ghz=np.asarray(values["cpu_freq_ghz"], dtype=float),
-                gpu_freq_ghz=np.asarray(values["gpu_freq_ghz"], dtype=float),
-                bitrate_mbps=np.asarray(values["bitrate_mbps"], dtype=float),
-                throughput_mbps=np.asarray(values["throughput_mbps"], dtype=float),
-                positions=np.asarray(indices, dtype=np.intp),
-            )
-        )
-    return BatchResult(groups=groups, n_points=len(points))
+            ).evaluate(positions=group.positions, **group.columns)
+            for group in groups
+        ]
+        return BatchResult(groups=results, n_points=n_points, coords=coords)

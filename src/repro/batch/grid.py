@@ -63,7 +63,7 @@ def _ensure_axis(name: str, values: Sequence[float]) -> Tuple[float, ...]:
     if not axis:
         raise ConfigurationError(f"grid axis {name!r} must not be empty")
     for value in axis:
-        if value <= 0.0:
+        if not value > 0.0:  # NaN-safe
             raise ConfigurationError(
                 f"grid axis {name!r} values must be > 0, got {value}"
             )

@@ -32,8 +32,9 @@ and make identical decisions, so the engine simulates one representative
 controller per class and multiplies: a 10k-user homogeneous fleet costs the
 same controller work as a single user plus O(users) NumPy arithmetic per
 epoch.  Candidate evaluation inside each class goes through the vectorized
-batch engine (:func:`repro.batch.evaluate_points`) via the pre-warmed
-:class:`~repro.adaptive.runtime.ControlContext` sweep cache.
+batch engine's structure-group path via the
+:class:`~repro.adaptive.runtime.ControlContext` sweep cache, pre-warmed for
+the class's exogenous trace when the class is built.
 
 Degeneracies
 ------------
@@ -217,8 +218,6 @@ class CoSimulation:
         damping: relaxation factor in (0, 1] applied to the endogenous
             throughput/wait between iterations (1.0 = undamped best
             response).  Charged outcomes always use undamped final loads.
-        prewarm: pre-fill each class's sweep cache for its exogenous trace
-            with one batched call.
         faults: optional :class:`~repro.faults.schedule.FaultSchedule`
             injected into the closed loop — dead edges leave the
             round-robin deal, brownouts and straggler windows inflate the
@@ -249,7 +248,6 @@ class CoSimulation:
         include_aoi: bool = True,
         max_iterations: int = 8,
         damping: float = 0.5,
-        prewarm: bool = True,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         if n_edges < 1:
@@ -292,9 +290,7 @@ class CoSimulation:
         self._n_users = len(self.population)
         self._models: Dict[object, XRPerformanceModel] = {}
         self._share_cache: Dict[int, float] = {}
-        self._classes, self._class_of_user = self._build_classes(
-            controller, trace, candidates, prewarm
-        )
+        self._classes, self._class_of_user = self._build_classes(controller, trace, candidates)
         self._user_arrays = [
             np.asarray(cls.user_indices, dtype=np.intp) for cls in self._classes
         ]
@@ -334,7 +330,6 @@ class CoSimulation:
         controller: ControllerLike,
         trace: TraceLike,
         candidates: Optional[Sequence[OperatingPoint]],
-        prewarm: bool,
     ) -> Tuple[List[_UserClass], np.ndarray]:
         classes: List[_UserClass] = []
         class_of_user = np.empty(self._n_users, dtype=np.intp)
@@ -411,8 +406,7 @@ class CoSimulation:
                     for point in cls_candidates
                 ]
             )
-            if prewarm:
-                cls.context.prewarm(cls.trace)
+            cls.context.prewarm(cls.trace)
         return classes, class_of_user
 
     # -- endogenous conditions ------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the adaptive runtime, control context and report."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,21 @@ from repro.adaptive.runtime import (
     AdaptiveRuntime,
     CandidateEvaluation,
     ControlContext,
+    _min_roi_array,
     candidate_quality,
     default_candidates,
 )
-from repro.adaptive.traces import EpochConditions, burst_trace, drift_trace
-from repro.config.application import ExecutionMode
+from repro.adaptive.traces import (
+    ConditionTrace,
+    EpochConditions,
+    burst_trace,
+    drift_trace,
+    mobility_fading_trace,
+)
+from repro.batch import evaluate_points
+from repro.batch.engine import group_points
+from repro.config.application import ApplicationConfig, CooperationConfig, ExecutionMode
+from repro.config.network import NetworkConfig, SensorConfig
 from repro.core.framework import XRPerformanceModel
 from repro.exceptions import ConfigurationError
 
@@ -140,6 +151,98 @@ class TestControlContext:
             ).analyze()
             assert evaluation.latency_ms[i] == report.total_latency_ms
             assert evaluation.energy_mj[i] == report.total_energy_mj
+
+
+def _reference_point(point, conditions):
+    """A candidate under ``conditions``, built config by config."""
+    network = point.network
+    handoff = replace(
+        network.handoff,
+        enabled=True,
+        handoff_probability=float(conditions.handoff_probability),
+    )
+    return replace(
+        point,
+        network=replace(
+            network, throughput_mbps=float(conditions.throughput_mbps), handoff=handoff
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def heterogeneous_candidates():
+    sensors = (
+        SensorConfig(name="imu", generation_frequency_hz=100.0),
+        SensorConfig(name="camera", generation_frequency_hz=20.0, distance_m=35.0),
+    )
+    cooperating = replace(
+        ApplicationConfig.object_detection_default(),
+        cooperation=CooperationConfig(enabled=True, include_in_totals=True),
+    )
+    return default_candidates(
+        device="XR1",
+        app=cooperating,
+        network=NetworkConfig(enable_path_loss=True, sensors=sensors),
+        cpu_freqs_ghz=(1.0, 2.0),
+        frame_sides_px=(300.0, 700.0),
+    ) + default_candidates(
+        device="XR2",
+        network=NetworkConfig(throughput_mbps=50.0, sensors=sensors),
+        cpu_freqs_ghz=(2.0,),
+        frame_sides_px=(500.0,),
+    )
+
+
+#: Two conditions on the 0.005 handoff grid, two off it.
+PARITY_CONDITIONS = (
+    EpochConditions(time_ms=0.0, throughput_mbps=42.5, handoff_probability=0.005),
+    EpochConditions(time_ms=100.0, throughput_mbps=17.0, handoff_probability=0.1),
+    EpochConditions(time_ms=200.0, throughput_mbps=120.0, handoff_probability=0.00314159),
+    EpochConditions(time_ms=300.0, throughput_mbps=42.5, handoff_probability=0.0049),
+)
+
+
+class TestReferenceParity:
+    """The structure-group sweep equals evaluate_points on built configs."""
+
+    @pytest.mark.parametrize("prewarmed", [False, True])
+    def test_sweep_equals_evaluate_points(self, heterogeneous_candidates, prewarmed):
+        context = ControlContext(candidates=heterogeneous_candidates, deadline_ms=700.0)
+        if prewarmed:
+            trace = ConditionTrace(name="parity", epoch_ms=100.0, epochs=PARITY_CONDITIONS)
+            assert context.prewarm(trace) == len(PARITY_CONDITIONS)
+        for conditions in PARITY_CONDITIONS:
+            reference = evaluate_points(
+                [_reference_point(p, conditions) for p in heterogeneous_candidates]
+            )
+            evaluation = context.sweep(conditions)
+            np.testing.assert_array_equal(
+                evaluation.latency_ms, reference.total_latency_ms
+            )
+            np.testing.assert_array_equal(evaluation.energy_mj, reference.total_energy_mj)
+            assert evaluation.min_roi is not None
+            np.testing.assert_array_equal(evaluation.min_roi, _min_roi_array(reference))
+
+    def test_prewarm_builds_no_app_and_one_network_per_group_and_probability(
+        self, monkeypatch
+    ):
+        candidates = default_candidates()
+        trace = mobility_fading_trace(1000, seed=1)
+        context = ControlContext(candidates=candidates, deadline_ms=700.0)
+        built = Counter()
+        for config in (ApplicationConfig, NetworkConfig):
+
+            def counting(self, _original=config.__post_init__, _name=config.__name__):
+                built[_name] += 1
+                _original(self)
+
+            monkeypatch.setattr(config, "__post_init__", counting)
+        context.prewarm(trace)
+        distinct_probabilities = len({epoch.handoff_probability for epoch in trace})
+        assert built["ApplicationConfig"] == 0
+        assert built["NetworkConfig"] == (
+            len(group_points(candidates)) * distinct_probabilities
+        )
 
 
 class TestSelection:

@@ -33,6 +33,27 @@ class TestEpochConditions:
                 time_ms=0.0, throughput_mbps=10.0, handoff_probability=0.0, n_contenders=0
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("throughput_mbps", float("nan")),
+            ("throughput_mbps", float("inf")),
+            ("time_ms", float("nan")),
+            ("fading_gain", float("nan")),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        fields = {"time_ms": 0.0, "throughput_mbps": 10.0, "handoff_probability": 0.0}
+        fields[field] = value
+        with pytest.raises(ConfigurationError):
+            EpochConditions(**fields)
+
+    def test_non_finite_values_rejected_on_replay(self):
+        payload = drift_trace(3, seed=1).to_dict()
+        payload["epochs"][1]["throughput_mbps"] = float("nan")
+        with pytest.raises(ConfigurationError):
+            ConditionTrace.from_dict(json.loads(json.dumps(payload)))
+
     def test_quantize_probability_snaps_and_clamps(self):
         assert quantize_probability(-0.3) == 0.0
         assert quantize_probability(1.7) == 1.0

@@ -10,6 +10,7 @@ from repro.batch import (
     evaluate_grid,
     evaluate_points,
 )
+from repro.batch.engine import _evaluate_groups, group_points
 from repro.config.application import ApplicationConfig, CooperationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.core.framework import XRPerformanceModel
@@ -80,6 +81,15 @@ class TestParameterGrid:
     def test_unknown_axis_rejected(self, app):
         with pytest.raises(ConfigurationError):
             ParameterGrid(app=app).axis_values("bogus")
+
+    @pytest.mark.parametrize(
+        "axis",
+        ["frame_sides_px", "cpu_freqs_ghz", "gpu_freqs_ghz", "bitrates_mbps", "throughputs_mbps"],
+    )
+    def test_nan_axis_rejected(self, app, axis):
+        grid = ParameterGrid(app=app, **{axis: (float("nan"), 500.0)})
+        with pytest.raises(ConfigurationError):
+            evaluate_grid(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +243,32 @@ class TestEvaluatePoints:
                     )
                 ]
             )
+
+    @pytest.mark.parametrize("column", ["frame_side_px", "throughput_mbps"])
+    def test_nan_column_rejected_by_group_evaluation(self, app, network, column):
+        point = OperatingPoint(app=app.with_mode(ExecutionMode.REMOTE), network=network)
+        (group,) = group_points([point, point])
+        columns = dict(group.columns)
+        columns[column] = np.array([float("nan"), 500.0])
+        with pytest.raises(ConfigurationError):
+            _evaluate_groups([replace(group, columns=columns)], 2, None, "paper", False)
+
+    def test_group_points_splits_on_structure_only(self, app, network):
+        handoff_on = replace(network, handoff=replace(network.handoff, enabled=True))
+        points = [
+            OperatingPoint(app=app, network=network),
+            OperatingPoint(app=replace(app, cpu_freq_ghz=3.0), network=handoff_on),
+            OperatingPoint(
+                app=replace(app, encoder=replace(app.encoder, bitrate_mbps=20.0)),
+                network=replace(network, throughput_mbps=50.0),
+            ),
+        ]
+        groups = group_points(points)
+        assert [g.positions.tolist() for g in groups] == [[0, 2], [1]]
+        assert groups[0].network is network
+        np.testing.assert_array_equal(groups[0].columns["bitrate_mbps"], [10.0, 20.0])
+        np.testing.assert_array_equal(groups[0].columns["throughput_mbps"], [200.0, 50.0])
+        np.testing.assert_array_equal(groups[1].columns["cpu_freq_ghz"], [3.0])
 
     def test_local_without_edge_allowed(self, app, network):
         result = evaluate_points(
