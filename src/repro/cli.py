@@ -1194,7 +1194,12 @@ def build_parser() -> argparse.ArgumentParser:
     offload.add_argument(
         "--objective", default="latency", choices=("latency", "energy", "weighted")
     )
-    offload.add_argument("--edge-servers", type=int, default=1)
+    offload.add_argument(
+        "--edge-servers",
+        type=int,
+        default=1,
+        help="edge servers the remote and split placements divide inference over",
+    )
     offload.set_defaults(handler=_cmd_offload)
 
     aoi = subparsers.add_parser("aoi", help="AoI/RoI timelines for sensor frequencies")
@@ -1242,7 +1247,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("greedy", "round-robin", "energy"),
         help="admission/placement policy",
     )
-    fleet.add_argument("--edge-servers", type=int, default=1)
+    fleet.add_argument(
+        "--edge-servers",
+        type=int,
+        default=1,
+        help="identical edge servers offloaders are dealt onto",
+    )
     fleet.add_argument(
         "--mixed-devices",
         nargs="+",
@@ -1326,7 +1336,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("hysteresis", "greedy", "ewma"),
         help="adaptive controller every user runs",
     )
-    cosim.add_argument("--edge-servers", type=int, default=1)
+    cosim.add_argument(
+        "--edge-servers",
+        type=int,
+        default=1,
+        help="identical edge servers per cell that offloaders are dealt onto",
+    )
     cosim.add_argument(
         "--shards",
         type=int,

@@ -45,9 +45,10 @@ Degeneracies
 * every controller a :class:`~repro.adaptive.controllers.StaticBaseline`
   pinned to the users' own operating point: decisions never move, the loop
   converges immediately, and the per-epoch fleet aggregates reproduce
-  :meth:`repro.fleet.analyzer.FleetAnalyzer.analyze` bit for bit (same
-  contended throughput, same per-edge accumulation order, same tagged
-  M/G/1 waits).
+  :meth:`repro.fleet.analyzer.FleetAnalyzer.analyze` bit for bit: both
+  charge the same contended throughput, and both take per-edge loads and
+  tagged M/G/1 waits from the one
+  :meth:`~repro.fleet.edge_scheduler.EdgeScheduler.edge_loads` kernel.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from repro.exec import resolve_backend
 from repro.faults.report import fault_outcome
 from repro.faults.schedule import EpochFaultState, FaultInjector, FaultSchedule
 from repro.fleet.contention import ContentionModel
-from repro.fleet.edge_scheduler import EdgeScheduler
+from repro.fleet.edge_scheduler import EdgeLoads, EdgeScheduler
 from repro.fleet.population import FleetPopulation, UserProfile
 from repro.simulation.des import EventScheduler
 
@@ -182,7 +183,8 @@ class _EpochLoads:
     wait_user_ms: np.ndarray
     edge_rate: np.ndarray
     edge_busy: np.ndarray
-    class_wait_ms: Dict[Tuple[int, int], float]
+    #: Worst wait over each class's offloading users (NaN: none offload).
+    class_wait_ms: np.ndarray
 
 
 class CoSimulation:
@@ -456,19 +458,17 @@ class CoSimulation:
     ) -> _EpochLoads:
         """Edge loads and per-user waits implied by a decision vector.
 
-        Replicates ``FleetAnalyzer.analyze`` operation for operation: users
-        whose chosen candidate offloads are dealt round-robin onto the edge
-        servers in population order, each edge's offered load accumulates in
-        that order (``np.cumsum`` preserves the scalar addition order), and
-        every tenant's wait is the tagged M/G/1 wait of the *other* tenants'
-        load — ``inf`` when the edge's aggregate load is unstable.
+        Users whose chosen candidate offloads are dealt round-robin onto the
+        edge servers in population order, and
+        :meth:`EdgeScheduler.edge_loads` — the kernel ``FleetAnalyzer``
+        calls — sums each edge's offered load and charges every tenant the
+        tagged M/G/1 wait of the *other* tenants' load (``inf`` when the
+        edge's aggregate load is unstable).
 
         Under a fault state, dead edges leave the round-robin deal (the
-        survivors absorb the load) and each surviving edge's busy fraction
-        and waits are scaled by its effective service multiplier
-        (brownout/straggler).  With every edge dead, offloaders wait
-        forever.  A scale of exactly 1.0 leaves every float untouched, so
-        the no-fault path is bit-identical to the pre-fault engine.
+        survivors absorb the load) and each surviving edge's service time
+        is scaled by its effective multiplier (brownout/straggler).  With
+        every edge dead, offloaders wait forever.
         """
         classes = self._classes
         offload_c = np.asarray(
@@ -489,74 +489,38 @@ class CoSimulation:
                 for cls, decision, offloads in zip(classes, decisions, offload_c)
             ]
         )
-        wait_user = np.zeros(self._n_users)
-        edge_rate = np.zeros(self.n_edges)
-        edge_busy = np.zeros(self.n_edges)
-        class_wait: Dict[Tuple[int, int], float] = {}
-        user_offloads = offload_c[self._class_of_user]
-        offloader_indices = np.flatnonzero(user_offloads)
+        offloader_indices = np.flatnonzero(offload_c[self._class_of_user])
+        offloader_classes = self._class_of_user[offloader_indices]
         n_offloaded = int(offloader_indices.size)
-        if n_offloaded:
-            offloader_classes = self._class_of_user[offloader_indices]
-            alive = (
-                np.asarray(fault_state.alive_edges, dtype=np.intp)
-                if fault_state is not None
-                else np.arange(self.n_edges, dtype=np.intp)
+        alive = np.asarray(
+            fault_state.alive_edges if fault_state is not None else range(self.n_edges),
+            dtype=np.intp,
+        )
+        if alive.size:
+            loads = self.scheduler.edge_loads(
+                alive[np.arange(n_offloaded) % alive.size],
+                rate_c[offloader_classes],
+                service_c[offloader_classes],
+                self.n_edges,
+                service_scale=(
+                    [fault_state.service_scale(i) for i in range(self.n_edges)]
+                    if fault_state is not None
+                    else None
+                ),
             )
-            if alive.size == 0:
-                # Every edge is down: offloaded frames never complete.
-                wait_user[offloader_indices] = math.inf
-                for cls_index in np.unique(offloader_classes):
-                    class_wait[(int(cls_index), 0)] = math.inf
-                return _EpochLoads(
-                    n_offloaded=n_offloaded,
-                    wait_user_ms=wait_user,
-                    edge_rate=edge_rate,
-                    edge_busy=edge_busy,
-                    class_wait_ms=class_wait,
-                )
-            edges = alive[np.arange(n_offloaded, dtype=np.intp) % alive.size]
-            rate_u = rate_c[offloader_classes]
-            busy_u = rate_u * service_c[offloader_classes]
-            for edge_index in range(self.n_edges):
-                mask = edges == edge_index
-                if mask.any():
-                    scale = (
-                        fault_state.service_scale(edge_index)
-                        if fault_state is not None
-                        else 1.0
-                    )
-                    edge_rate[edge_index] = np.cumsum(rate_u[mask])[-1]
-                    edge_busy[edge_index] = np.cumsum(busy_u[mask])[-1] * scale
-            for cls_index in np.unique(offloader_classes):
-                own_rate = float(rate_c[cls_index])
-                own_service = float(service_c[cls_index])
-                cls_mask = offloader_classes == cls_index
-                for edge_index in np.unique(edges[cls_mask]):
-                    scale = (
-                        fault_state.service_scale(edge_index)
-                        if fault_state is not None
-                        else 1.0
-                    )
-                    own_busy = own_rate * own_service * scale
-                    if edge_busy[edge_index] >= 1.0:
-                        wait = math.inf
-                    else:
-                        background = max(edge_rate[edge_index] - own_rate, 0.0)
-                        background_busy = max(edge_busy[edge_index] - own_busy, 0.0)
-                        wait = self.scheduler.tagged_waiting_time_ms(
-                            own_service * scale,
-                            background,
-                            background_busy / background if background > 0.0 else None,
-                        )
-                    class_wait[(int(cls_index), int(edge_index))] = wait
-                    pair_mask = cls_mask & (edges == edge_index)
-                    wait_user[offloader_indices[pair_mask]] = wait
+        else:
+            # Every edge is down: offloaded frames never complete.
+            idle = np.zeros(self.n_edges)
+            loads = EdgeLoads(idle, idle, np.full(n_offloaded, math.inf))
+        wait_user = np.zeros(self._n_users)
+        wait_user[offloader_indices] = loads.wait_ms
+        class_wait = np.full(len(classes), math.nan)
+        np.fmax.at(class_wait, offloader_classes, loads.wait_ms)
         return _EpochLoads(
             n_offloaded=n_offloaded,
             wait_user_ms=wait_user,
-            edge_rate=edge_rate,
-            edge_busy=edge_busy,
+            edge_rate=loads.offered_rate_per_ms,
+            edge_busy=loads.utilization,
             class_wait_ms=class_wait,
         )
 
@@ -577,13 +541,9 @@ class CoSimulation:
         tenant (infinite wait when every edge is dead), and the tenant's
         reference service time is scaled like the loads are.
         """
-        waits = [
-            wait
-            for (ci, _), wait in loads.class_wait_ms.items()
-            if ci == cls_index
-        ]
-        if waits:
-            return max(waits)
+        wait = float(loads.class_wait_ms[cls_index])
+        if not math.isnan(wait):
+            return wait
         if fault_state is not None:
             if fault_state.n_edges_alive == 0:
                 return math.inf

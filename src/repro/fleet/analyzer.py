@@ -25,7 +25,6 @@ sees zero queueing, so the reported numbers equal
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -406,25 +405,20 @@ class FleetAnalyzer:
             self.contention.network_for(n_stations) if n_stations else self.network
         )
 
-        # Service-time multiplier per edge (1.0 everywhere absent faults;
-        # multiplying by exactly 1.0 leaves every float untouched, keeping
-        # the no-fault path bit-identical).
-        edge_scale = [
-            fault_state.service_scale(index) if fault_state is not None else 1.0
-            for index in range(self.n_edges)
-        ]
-
-        # Offered load per edge server.
-        edge_rates = [0.0] * self.n_edges
-        edge_busy = [0.0] * self.n_edges
-        for decision in offloaders:
-            candidate = by_name[decision.name]
-            edge_rates[decision.edge_index] += candidate.arrival_rate_per_ms
-            edge_busy[decision.edge_index] += (
-                candidate.arrival_rate_per_ms
-                * candidate.service_time_ms
-                * edge_scale[decision.edge_index]
-            )
+        # Per-edge offered load and each offloader's tagged wait; a fault
+        # state inflates the service time of the edges it degrades.
+        loads = self.scheduler.edge_loads(
+            [decision.edge_index for decision in offloaders],
+            [by_name[decision.name].arrival_rate_per_ms for decision in offloaders],
+            [by_name[decision.name].service_time_ms for decision in offloaders],
+            self.n_edges,
+            service_scale=(
+                [fault_state.service_scale(index) for index in range(self.n_edges)]
+                if fault_state is not None
+                else None
+            ),
+        )
+        offloader_waits = iter(loads.wait_ms.tolist())
 
         # Batch-evaluate the outcome reports that candidates() did not already
         # cover (the post-admission contention level can differ from the
@@ -450,35 +444,12 @@ class FleetAnalyzer:
 
         outcomes: List[UserOutcome] = []
         for user, decision in zip(self.population, decisions):
-            candidate = by_name[user.name]
             if decision.offload:
                 app = user.app if user.wants_offload else self._mode_variant(
                     user.app, ExecutionMode.REMOTE
                 )
                 network = contended
-                scale = edge_scale[decision.edge_index]
-                if edge_busy[decision.edge_index] >= 1.0:
-                    # The edge cannot sustain its aggregate offered load:
-                    # no tenant on it has a steady state, however small its
-                    # own contribution.
-                    wait_ms = math.inf
-                else:
-                    background = max(
-                        edge_rates[decision.edge_index] - candidate.arrival_rate_per_ms,
-                        0.0,
-                    )
-                    background_busy = max(
-                        edge_busy[decision.edge_index]
-                        - candidate.arrival_rate_per_ms
-                        * candidate.service_time_ms
-                        * scale,
-                        0.0,
-                    )
-                    wait_ms = self.scheduler.tagged_waiting_time_ms(
-                        candidate.service_time_ms * scale,
-                        background,
-                        background_busy / background if background > 0.0 else None,
-                    )
+                wait_ms = next(offloader_waits)
             else:
                 app = self._mode_variant(user.app, ExecutionMode.LOCAL)
                 network = self.network
@@ -518,7 +489,7 @@ class FleetAnalyzer:
                 )
         return FleetReport.from_outcomes(
             outcomes,
-            edge_utilizations=edge_busy,
+            edge_utilizations=loads.utilization,
             slo_ms=self.slo_ms,
             availability=(
                 fault_state.availability if fault_state is not None else 1.0

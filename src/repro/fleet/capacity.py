@@ -10,17 +10,16 @@ then bisects, evaluating ``O(log N)`` fleets.
 Probe evaluation is vectorized: for the default round-robin policy a
 homogeneous fleet of ``n`` identical users needs only *one* per-user report
 (evaluated through the batch engine of :mod:`repro.batch`, whose results are
-bit-identical to the scalar path) plus per-edge queueing arithmetic, so each
-bisection probe costs O(n_edges) instead of O(n) Python-object work.  The
-probe reproduces :meth:`repro.fleet.analyzer.FleetAnalyzer.analyze`
-operation-for-operation (including the accumulation order of the per-edge
-offered load), so the planned capacity is identical to the exhaustive path.
-A custom admission policy falls back to full :class:`FleetAnalyzer` probes.
+bit-identical to the scalar path) plus O(n) NumPy queueing arithmetic instead
+of O(n) Python-object work.  The per-edge load and tenant waits come from
+:meth:`repro.fleet.edge_scheduler.EdgeScheduler.edge_loads`, the kernel
+:class:`~repro.fleet.analyzer.FleetAnalyzer` calls too, so the planned
+capacity is identical to the exhaustive path.  A custom admission policy
+falls back to full :class:`FleetAnalyzer` probes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -88,13 +87,12 @@ class CapacityPlan:
 class _HomogeneousRoundRobinProbe:
     """Vectorized p95 probe for homogeneous all-identical round-robin fleets.
 
-    Mirrors ``FleetAnalyzer.analyze`` for the special case the capacity
-    planner constructs: every user shares one device and application config,
-    and the round-robin policy admits every offload-preferring user.  The
-    per-user report is evaluated once per probed fleet size through the
-    batch engine; the per-edge queueing waits use the same
-    :class:`EdgeScheduler` calls (and the same floating-point accumulation
-    order for the offered load) as the exhaustive analyzer.
+    Covers the special case the capacity planner constructs: every user
+    shares one device and application config, and the round-robin policy
+    admits every offload-preferring user.  The per-user report is evaluated
+    once per probed fleet size through the batch engine; the per-edge
+    queueing waits come from the same :meth:`EdgeScheduler.edge_loads`
+    kernel the exhaustive analyzer calls.
     """
 
     def __init__(
@@ -189,46 +187,14 @@ class _HomogeneousRoundRobinProbe:
             latencies = np.full(n_users, self._local_latency_ms())
         else:
             remote_latency, service_ms = self._remote_stats(n_users)
-            arrival = self.frame_rate_fps / 1e3
-            # Round robin deals users 0..n-1 onto edges cyclically, so edge i
-            # carries ceil or floor of n / n_edges tenants.
-            base, extra = divmod(n_users, self.n_edges)
-            tenant_counts = [
-                base + 1 if index < extra else base for index in range(self.n_edges)
-            ]
-            # The analyzer accumulates each edge's offered load one admitted
-            # user at a time; cumulative sums replicate that addition order.
-            k_max = max(tenant_counts)
-            rate_cum = np.cumsum(np.full(k_max, arrival))
-            busy_cum = np.cumsum(np.full(k_max, arrival * service_ms))
-            # One vectorized waiting-time evaluation over the distinct tenant
-            # counts (round robin produces at most two).
-            distinct_counts = sorted({count for count in tenant_counts if count > 0})
-            backgrounds = []
-            background_services = []
-            saturated = []
-            for count in distinct_counts:
-                edge_rate = float(rate_cum[count - 1])
-                edge_busy = float(busy_cum[count - 1])
-                saturated.append(edge_busy >= 1.0)
-                background = max(edge_rate - arrival, 0.0)
-                background_busy = max(edge_busy - arrival * service_ms, 0.0)
-                backgrounds.append(background)
-                background_services.append(
-                    background_busy / background if background > 0.0 else service_ms
-                )
-            waits = self.scheduler.tagged_waiting_times_ms(
-                service_ms, backgrounds, background_services
+            # Round robin deals users 0..n-1 onto the edges cyclically.
+            loads = self.scheduler.edge_loads(
+                np.arange(n_users) % self.n_edges,
+                np.full(n_users, self.frame_rate_fps / 1e3),
+                np.full(n_users, service_ms),
+                self.n_edges,
             )
-            wait_by_count = {
-                count: math.inf if is_saturated else float(wait)
-                for count, is_saturated, wait in zip(distinct_counts, saturated, waits)
-            }
-            per_edge_latency = [
-                remote_latency + wait_by_count.get(count, 0.0)
-                for count in tenant_counts
-            ]
-            latencies = np.repeat(np.asarray(per_edge_latency), tenant_counts)
+            latencies = remote_latency + loads.wait_ms
         method = "linear" if np.isfinite(latencies).all() else "lower"
         p95 = float(np.percentile(latencies, 95, method=method))
         self._p95_cache[n_users] = p95
@@ -255,8 +221,8 @@ def plan_capacity(
     largest one whose p95 motion-to-photon latency meets the SLO.  The
     default round-robin policy offloads everyone, so the plan reflects the
     infrastructure's raw capacity rather than an admission policy's gating —
-    and lets every bisection probe run through the O(n_edges) vectorized
-    probe instead of an O(n) per-user analysis.
+    and lets every bisection probe run through the vectorized probe
+    instead of a per-user Python analysis.
 
     With ``require_feasible=True`` an SLO that not even a single user can
     meet raises a :class:`~repro.exceptions.ConfigurationError` instead of
@@ -266,6 +232,8 @@ def plan_capacity(
     """
     if slo_ms <= 0.0:
         raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
+    if n_edges < 1:
+        raise ConfigurationError(f"need at least one edge server, got {n_edges}")
     shared_coefficients = (
         coefficients if coefficients is not None else CoefficientSet.paper()
     )

@@ -16,13 +16,17 @@ Pollaczek-Khinchine :class:`repro.queueing.mg1.MG1Queue`:
 Overload (``rho >= 1``) is reported as an *infinite* waiting time rather
 than an exception so capacity planners can treat saturation as an ordinary
 infeasible point.
+
+:meth:`EdgeScheduler.edge_loads` is the one place a placement's per-edge
+offered load is summed and turned into per-tenant waits; the fleet analyzer,
+the capacity probe and the co-simulation all call it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +36,20 @@ from repro.queueing.vectorized import mg1_waiting_ms, ps_waiting_ms
 
 #: Supported service disciplines.
 DISCIPLINES = ("fifo", "ps")
+
+
+class EdgeLoads(NamedTuple):
+    """Loads and waits implied by one placement of tenants onto an edge pool.
+
+    Attributes:
+        offered_rate_per_ms: per-edge aggregate frame arrival rate.
+        utilization: per-edge busy fraction ``sum(lambda * E[S] * scale)``.
+        wait_ms: per-tenant tagged waiting time, in placement order.
+    """
+
+    offered_rate_per_ms: np.ndarray
+    utilization: np.ndarray
+    wait_ms: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,31 +174,76 @@ class EdgeScheduler:
 
     def tagged_waiting_times_ms(
         self,
-        service_time_ms: float,
+        service_time_ms: Union[float, Sequence[float]],
         background_arrival_rates_per_ms: Sequence[float],
         background_service_times_ms: Sequence[float],
     ) -> np.ndarray:
         """Vectorized :meth:`tagged_waiting_time_ms` over background loads.
 
-        Element ``i`` equals ``tagged_waiting_time_ms(service_time_ms,
-        rates[i], services[i])`` bit for bit (via the array queueing ports of
-        :mod:`repro.queueing.vectorized`); saturated entries (``rho >= 1``)
-        map to ``inf`` instead of raising, matching the scalar contract.
+        ``service_time_ms`` is one tagged service time for every element or
+        one per element.  Element ``i`` equals ``tagged_waiting_time_ms(
+        service[i], rates[i], services[i])`` bit for bit (via the array
+        queueing ports of :mod:`repro.queueing.vectorized`); saturated
+        entries (``rho >= 1``) map to ``inf`` instead of raising, matching
+        the scalar contract.
         """
-        if service_time_ms <= 0.0:
-            raise ModelDomainError(
-                f"service time must be > 0, got {service_time_ms}"
-            )
         rates = np.asarray(background_arrival_rates_per_ms, dtype=float)
         services = np.asarray(background_service_times_ms, dtype=float)
+        tagged = np.broadcast_to(np.asarray(service_time_ms, dtype=float), rates.shape)
+        if np.any(tagged <= 0.0):
+            raise ModelDomainError(
+                f"service time must be > 0, got min {np.min(tagged)}"
+            )
         rho = rates * services
         waits = np.full(rho.shape, math.inf)
         stable = rho < 1.0
         if np.any(stable):
             if self.discipline == "ps":
-                waits[stable] = ps_waiting_ms(service_time_ms, rho[stable])
+                waits[stable] = ps_waiting_ms(tagged[stable], rho[stable])
             else:
                 waits[stable] = mg1_waiting_ms(
                     rates[stable], services[stable], self.service_scv
                 )
         return waits
+
+    def edge_loads(
+        self,
+        edge_index: Sequence[int],
+        arrival_rate_per_ms: Sequence[float],
+        service_time_ms: Sequence[float],
+        n_edges: int,
+        service_scale: Optional[Sequence[float]] = None,
+    ) -> EdgeLoads:
+        """Per-edge load and per-tenant waits of one placement.
+
+        Tenant ``i`` sends ``arrival_rate_per_ms[i]`` frames/ms, each costing
+        ``service_time_ms[i]`` on edge ``edge_index[i]`` of an ``n_edges``
+        pool, inflated by that edge's ``service_scale`` (1 when omitted).
+        Each edge's offered rate and busy fraction accumulate one tenant at
+        a time in placement order; every tenant's busy time is scaled before
+        it is summed.  A tenant waits the tagged wait of the *other*
+        tenants' load on its edge — ``inf`` when the edge's aggregate load
+        is ``>= 1`` — so a sole tenant waits exactly 0 ms.
+        """
+        edges = np.asarray(edge_index, dtype=np.intp)
+        rates = np.asarray(arrival_rate_per_ms, dtype=float)
+        unscaled = np.asarray(service_time_ms, dtype=float)
+        scale = (
+            1.0
+            if service_scale is None
+            else np.asarray(service_scale, dtype=float)[edges]
+        )
+        service = unscaled * scale
+        busy = rates * unscaled * scale
+        # bincount adds the weights sequentially in index order: the same
+        # floating-point result as a per-tenant ``+=`` loop.
+        edge_rate = np.bincount(edges, weights=rates, minlength=n_edges)
+        edge_busy = np.bincount(edges, weights=busy, minlength=n_edges)
+        background = np.maximum(edge_rate[edges] - rates, 0.0)
+        background_busy = np.maximum(edge_busy[edges] - busy, 0.0)
+        background_service = np.divide(
+            background_busy, background, out=service.copy(), where=background > 0.0
+        )
+        waits = self.tagged_waiting_times_ms(service, background, background_service)
+        waits[edge_busy[edges] >= 1.0] = math.inf
+        return EdgeLoads(edge_rate, edge_busy, waits)

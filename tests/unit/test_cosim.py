@@ -20,6 +20,7 @@ from repro.batch import OperatingPoint
 from repro.config.network import NetworkConfig
 from repro.cosim import CoSimulation, CosimReport, ShardedCosimReport, run_cosim
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultEvent, FaultSchedule
 from repro.fleet import FleetAnalyzer, homogeneous, mixed_devices
 
 DEADLINE_MS = 700.0
@@ -117,6 +118,75 @@ class TestStaticFleetDegeneracy:
             assert report.offload_fraction[epoch] == fleet.n_offloaded / fleet.n_users
         assert report.all_converged
         assert report.switch_count == 0
+
+    @pytest.mark.parametrize(
+        "n_users, n_edges, events",
+        [
+            (
+                4,
+                2,
+                (
+                    FaultEvent(
+                        kind="straggler", start_epoch=0, duration_epochs=3,
+                        edge_index=0, service_factor=1.05,
+                    ),
+                ),
+            ),
+            (
+                6,
+                3,
+                (
+                    FaultEvent(
+                        kind="edge_brownout", start_epoch=0, duration_epochs=3,
+                        capacity_factor=0.95,
+                    ),
+                ),
+            ),
+            (
+                5,
+                3,
+                (
+                    FaultEvent(
+                        kind="edge_brownout", start_epoch=0, duration_epochs=3,
+                        edge_index=1, capacity_factor=0.8,
+                    ),
+                    FaultEvent(
+                        kind="edge_outage", start_epoch=0, duration_epochs=3,
+                        edge_index=2,
+                    ),
+                ),
+            ),
+        ],
+        ids=["straggler", "brownout", "brownout+outage"],
+    )
+    def test_epoch_aggregates_equal_fleet_report_under_faults(
+        self, static_setup, n_users, n_edges, events
+    ):
+        network, _, trace, candidates = static_setup
+        population = homogeneous(n_users, device="XR1")
+        schedule = FaultSchedule(name="edge-faults", events=events)
+        report = CoSimulation(
+            population,
+            StaticBaseline(0),
+            trace,
+            n_edges=n_edges,
+            candidates=candidates,
+            network=network,
+            faults=schedule,
+        ).run()
+        fleet = FleetAnalyzer(
+            population,
+            edge="EDGE-AGX",
+            n_edges=n_edges,
+            network=network,
+            fault_state=schedule.state_at(0, n_edges),
+        ).analyze()
+        for epoch in range(trace.n_epochs):
+            assert report.p50_latency_ms[epoch] == fleet.p50_latency_ms
+            assert report.p95_latency_ms[epoch] == fleet.p95_latency_ms
+            assert report.mean_latency_ms[epoch] == fleet.mean_latency_ms
+            assert report.total_energy_mj[epoch] == fleet.total_energy_mj
+            assert report.max_edge_utilization[epoch] == max(fleet.edge_utilizations)
 
     def test_per_user_latency_matches_outcomes(self, static_setup):
         network, population, trace, candidates = static_setup

@@ -265,6 +265,11 @@ class TestPlanCapacity:
         with pytest.raises(ConfigurationError):
             plan_capacity(slo_ms=-5.0)
 
+    @pytest.mark.parametrize("policy", [None, GreedySLOAdmission(slo_ms=SLO_MS)])
+    def test_empty_edge_pool_rejected(self, policy):
+        with pytest.raises(ConfigurationError, match="at least one edge"):
+            plan_capacity(device="XR1", slo_ms=SLO_MS, n_edges=0, policy=policy)
+
     def test_unmeetable_slo_raises_when_feasibility_required(self):
         with pytest.raises(ConfigurationError, match="unmeetable"):
             plan_capacity(device="XR1", slo_ms=1.0, require_feasible=True)
