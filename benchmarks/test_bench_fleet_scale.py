@@ -1,9 +1,10 @@
 """Benchmarks: fleet analyzer throughput vs. fleet size.
 
-The fleet analyzer memoizes per-device model construction and caches
-per-(device, app, network) evaluations, so the per-user loop is nearly free
-and fleet analysis time grows only mildly with the user count.  These
-benchmarks document that scaling — including the headline requirement that a
+The fleet analyzer groups users into (device, app) equivalence classes and
+evaluates every configuration once per class; per user it only builds the
+admission candidate, runs the policy and builds the outcome.  Analysis time
+therefore grows linearly with a small per-user constant.  These benchmarks
+document that scaling — including the headline requirement that a
 10,000-user fleet evaluates in seconds, not minutes.
 """
 

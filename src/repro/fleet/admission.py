@@ -21,11 +21,19 @@ Three policies are provided:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.config.validation import ensure_positive
 from repro.exceptions import ConfigurationError
 from repro.fleet.edge_scheduler import EdgeScheduler
+
+
+def check_edge_count(n_edges: int) -> None:
+    """Reject an edge-server count that is not an integer >= 1."""
+    if not isinstance(n_edges, numbers.Integral) or n_edges < 1:
+        raise ConfigurationError(f"need at least one edge server (an integer), got {n_edges!r}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +98,6 @@ class AdmissionPolicy:
         """Decide placement for every candidate (in candidate order)."""
         raise NotImplementedError
 
-    @staticmethod
-    def _check_edges(n_edges: int) -> None:
-        if n_edges < 1:
-            raise ConfigurationError(f"need at least one edge server, got {n_edges}")
-
 
 class RoundRobinAdmission(AdmissionPolicy):
     """Admit every offload-preferring user, cycling across edge servers."""
@@ -102,7 +105,7 @@ class RoundRobinAdmission(AdmissionPolicy):
     def assign(
         self, candidates: Sequence[UserCandidate], n_edges: int
     ) -> List[PlacementDecision]:
-        self._check_edges(n_edges)
+        check_edge_count(n_edges)
         decisions: List[PlacementDecision] = []
         next_edge = 0
         for candidate in candidates:
@@ -150,8 +153,7 @@ class GreedySLOAdmission(AdmissionPolicy):
         scheduler: Optional[EdgeScheduler] = None,
         utilization_cap: float = 0.95,
     ) -> None:
-        if slo_ms <= 0.0:
-            raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
+        ensure_positive("SLO (ms)", slo_ms)
         if not 0.0 < utilization_cap < 1.0:
             raise ConfigurationError(
                 f"utilisation cap must be in (0, 1), got {utilization_cap}"
@@ -163,7 +165,7 @@ class GreedySLOAdmission(AdmissionPolicy):
     def assign(
         self, candidates: Sequence[UserCandidate], n_edges: int
     ) -> List[PlacementDecision]:
-        self._check_edges(n_edges)
+        check_edge_count(n_edges)
         # Per-edge admitted load, tracked as (arrival rate, busy-time rate).
         edge_rates = [0.0] * n_edges
         edge_busy = [0.0] * n_edges
@@ -233,7 +235,7 @@ class EnergyAwareAdmission(AdmissionPolicy):
     def assign(
         self, candidates: Sequence[UserCandidate], n_edges: int
     ) -> List[PlacementDecision]:
-        self._check_edges(n_edges)
+        check_edge_count(n_edges)
         by_name: dict = {}
         edge_busy = [0.0] * n_edges
         ranked = sorted(

@@ -13,9 +13,10 @@ Composition: one :class:`XRPerformanceModel` per *device model* (memoized,
 sharing a single :class:`CoefficientSet`), per-user network parameters
 adjusted by the :class:`ContentionModel`, per-tenant edge queueing delay
 from the :class:`EdgeScheduler`, and placements chosen by an
-:class:`AdmissionPolicy`.  All per-user evaluations are cached by
-``(device, app, network)``, so a homogeneous 10k-user fleet costs a handful
-of model evaluations rather than 10k.
+:class:`AdmissionPolicy`.  The population is grouped once into
+``(device, app)`` equivalence classes.  Reports, service times and outcome
+totals are computed once per class; only the candidate, the policy decision
+and the outcome are built per user.
 
 With a single user the analyzer degenerates exactly to the paper's model:
 contention leaves the channel untouched at ``N == 1`` and a sole edge tenant
@@ -25,13 +26,17 @@ sees zero queueing, so the reported numbers equal
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import math
+from dataclasses import astuple, replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro import telemetry
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.device import EdgeServerSpec
 from repro.config.network import NetworkConfig
+from repro.config.validation import ensure_positive
 from repro.core.coefficients import CoefficientSet
 from repro.core.framework import XRPerformanceModel
 from repro.core.results import PerformanceReport
@@ -43,6 +48,7 @@ from repro.fleet.admission import (
     PlacementDecision,
     RoundRobinAdmission,
     UserCandidate,
+    check_edge_count,
 )
 from repro.fleet.contention import ContentionModel
 from repro.fleet.edge_scheduler import EdgeScheduler
@@ -64,6 +70,14 @@ def _resolve_edge(edge: Union[str, EdgeServerSpec]) -> EdgeServerSpec:
     if isinstance(edge, str):
         return get_edge_server(edge)
     raise ConfigurationError(f"cannot interpret {edge!r} as an edge server")
+
+
+class _UserClass(NamedTuple):
+    """One (device, app) equivalence class of the population."""
+
+    device: str
+    apps: Tuple[ApplicationConfig, ApplicationConfig]  # (local, remote) variants
+    candidate: UserCandidate  # statistics every member shares (named after the device)
 
 
 class FleetAnalyzer:
@@ -112,8 +126,9 @@ class FleetAnalyzer:
         include_aoi: bool = True,
         fault_state: Optional[EpochFaultState] = None,
     ) -> None:
-        if n_edges < 1:
-            raise ConfigurationError(f"need at least one edge server, got {n_edges}")
+        check_edge_count(n_edges)
+        if slo_ms is not None:
+            ensure_positive("SLO (ms)", slo_ms)
         self.population = _resolve_population(population)
         self.edge = _resolve_edge(edge)
         self.n_edges = n_edges
@@ -131,9 +146,7 @@ class FleetAnalyzer:
         self.coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
         self.policy = policy if policy is not None else RoundRobinAdmission()
         self.contention = (
-            contention
-            if contention is not None
-            else ContentionModel(network=self.network)
+            contention if contention is not None else ContentionModel(network=self.network)
         )
         self.scheduler = scheduler if scheduler is not None else EdgeScheduler()
         self.slo_ms = slo_ms
@@ -142,18 +155,13 @@ class FleetAnalyzer:
         # Per-device model cache: every entry shares self.coefficients, so a
         # mixed-device fleet builds at most one model per catalog entry.
         self._models: Dict[str, XRPerformanceModel] = {}
-        # Per-(device, app, network) report cache: the per-user loop over a
-        # 10k-user fleet hits this cache for all but a handful of evaluations.
-        # Unique keys are batch-evaluated together (see _prime_reports).
-        self._reports: Dict[
-            Tuple[str, ApplicationConfig, NetworkConfig], PerformanceReport
-        ] = {}
+        # Per-(device, app, network) report cache, looked up once per user
+        # class and side, so its hits and misses count configurations, not
+        # users.  Missing keys are batch-evaluated together (_batch_reports).
+        self._reports: Dict[Tuple[str, ApplicationConfig, NetworkConfig], PerformanceReport] = {}
         self._service_times: Dict[Tuple[str, ApplicationConfig], float] = {}
-        # Mode-variant cache: with_mode() rebuilds frozen configs, which
-        # dominates the per-user loop on large homogeneous fleets.
-        self._mode_variants: Dict[
-            Tuple[ApplicationConfig, ExecutionMode], ApplicationConfig
-        ] = {}
+        # Mode-variant cache: with_mode() rebuilds frozen configs.
+        self._mode_variants: Dict[Tuple[ApplicationConfig, ExecutionMode], ApplicationConfig] = {}
         # Hit/miss tallies per cache (plain ints; see cache_stats()).
         self._cache_hits: Dict[str, int] = {name: 0 for name in self._CACHE_NAMES}
         self._cache_misses: Dict[str, int] = {name: 0 for name in self._CACHE_NAMES}
@@ -173,8 +181,9 @@ class FleetAnalyzer:
         ``reports`` (per ``(device, app, network)`` performance reports —
         batch-primed entries count as misses exactly once), ``service_times``
         (per ``(device, app)`` edge busy times) and ``mode_variants``
-        (``app.with_mode`` rebuilds).  Deterministic per instance: the same
-        call sequence produces the same statistics.
+        (``app.with_mode`` rebuilds).  Lookups happen once per user class, so
+        the counts do not grow with a class's size.  Deterministic per
+        instance: the same call sequence produces the same statistics.
         """
         return {
             name: {
@@ -194,90 +203,130 @@ class FleetAnalyzer:
 
     # -- memoized building blocks ------------------------------------------------
 
+    def _memo(self, name: str, key, build):
+        """``build()`` memoized under ``key`` in cache ``name``, tallied."""
+        cache = getattr(self, self._CACHE_NAMES[name])
+        value = cache.get(key)
+        if value is None:
+            self._cache_misses[name] += 1
+            value = cache[key] = build()
+        else:
+            self._cache_hits[name] += 1
+        return value
+
     def model_for(self, device: str) -> XRPerformanceModel:
         """The (memoized) single-user model for one device catalog entry."""
-        model = self._models.get(device)
-        if model is None:
-            self._cache_misses["models"] += 1
-            model = XRPerformanceModel(
+        return self._memo(
+            "models",
+            device,
+            lambda: XRPerformanceModel(
                 device=device,
                 edge=self.edge,
                 coefficients=self.coefficients,
                 complexity_mode=self.complexity_mode,
-            )
-            self._models[device] = model
-        else:
-            self._cache_hits["models"] += 1
-        return model
+            ),
+        )
 
     def _mode_variant(
         self, app: ApplicationConfig, mode: ExecutionMode
     ) -> ApplicationConfig:
         """Memoized ``app.with_mode(mode)`` (identity when already in the mode)."""
-        key = (app, mode)
-        variant = self._mode_variants.get(key)
-        if variant is None:
-            self._cache_misses["mode_variants"] += 1
-            variant = app.with_mode(mode)
-            self._mode_variants[key] = variant
-        else:
-            self._cache_hits["mode_variants"] += 1
-        return variant
+        return self._memo("mode_variants", (app, mode), lambda: app.with_mode(mode))
 
-    def _prime_reports(
+    def _batch_reports(
         self, keys: Sequence[Tuple[str, ApplicationConfig, NetworkConfig]]
-    ) -> None:
-        """Batch-evaluate all not-yet-cached (device, app, network) keys at once.
+    ) -> List[PerformanceReport]:
+        """Reports for (device, app, network) keys; missing ones in one batch call.
 
-        One call to the vectorized batch engine replaces one scalar
-        ``analyze()`` per key; the resulting reports are bit-identical.
+        Each missing key counts as one miss and each requested key as one
+        hit.  The batch engine's reports are bit-identical to scalar
+        ``analyze()``.
         """
         from repro.batch import OperatingPoint, evaluate_points
 
         missing = [key for key in dict.fromkeys(keys) if key not in self._reports]
-        if not missing:
-            return
-        self._cache_misses["reports"] += len(missing)
-        batch = evaluate_points(
-            [
-                OperatingPoint(app=app, network=network, device=device, edge=self.edge)
-                for device, app, network in missing
-            ],
-            coefficients=self.coefficients,
-            complexity_mode=self.complexity_mode,
-            include_aoi=self.include_aoi,
-        )
-        for index, key in enumerate(missing):
-            self._reports[key] = batch.report_at(index)
-
-    def _report(
-        self, device: str, app: ApplicationConfig, network: NetworkConfig
-    ) -> PerformanceReport:
-        key = (device, app, network)
-        report = self._reports.get(key)
-        if report is None:
-            self._cache_misses["reports"] += 1
-            report = self.model_for(device).analyze(
-                app, network, include_aoi=self.include_aoi
+        if missing:
+            self._cache_misses["reports"] += len(missing)
+            batch = evaluate_points(
+                [
+                    OperatingPoint(app=app, network=network, device=device, edge=self.edge)
+                    for device, app, network in missing
+                ],
+                coefficients=self.coefficients,
+                complexity_mode=self.complexity_mode,
+                include_aoi=self.include_aoi,
             )
-            self._reports[key] = report
-        else:
-            self._cache_hits["reports"] += 1
-        return report
+            for index, key in enumerate(missing):
+                self._reports[key] = batch.report_at(index)
+        self._cache_hits["reports"] += len(keys)
+        return [self._reports[key] for key in keys]
 
     def _service_time_ms(self, device: str, app: ApplicationConfig) -> float:
-        """Edge GPU busy time per frame for one user (memoized)."""
-        key = (device, app)
-        service = self._service_times.get(key)
-        if service is None:
-            self._cache_misses["service_times"] += 1
-            service = self.model_for(device).latency_model.remote_inference_ms(app)
-            self._service_times[key] = service
-        else:
-            self._cache_hits["service_times"] += 1
-        return service
+        """Edge GPU busy time per frame of one (device, app) class (memoized)."""
+        return self._memo(
+            "service_times",
+            (device, app),
+            lambda: self.model_for(device).latency_model.remote_inference_ms(app),
+        )
 
     # -- pipeline stages -----------------------------------------------------------
+
+    def _class_candidates(self) -> Tuple[List[int], List[_UserClass], List[UserCandidate]]:
+        """Each user's class index, the classes, and the per-user candidates.
+
+        Users are keyed on ``(device, id(app))`` first, so each distinct
+        config object is hashed once, and then on ``(device, app)`` equality,
+        so equal but distinct apps share a class.  Classes are numbered in
+        order of first appearance; every mode variant, report and service
+        time is looked up once per class.
+        """
+        by_object: Dict[Tuple[str, int], int] = {}
+        by_value: Dict[Tuple[str, ApplicationConfig], int] = {}
+        class_of: List[int] = []
+        for user in self.population:
+            index = by_object.get((user.device, id(user.app)))
+            if index is None:
+                index = by_value.setdefault((user.device, user.app), len(by_value))
+                by_object[user.device, id(user.app)] = index
+            class_of.append(index)
+        wants = [app.inference.mode is not ExecutionMode.LOCAL for _, app in by_value]
+        n_wants = sum(wants[index] for index in class_of)
+        remote_network = self.contention.network_for(max(n_wants, 1))
+        apps = [
+            (
+                self._mode_variant(app, ExecutionMode.LOCAL),
+                app if offload else self._mode_variant(app, ExecutionMode.REMOTE),
+            )
+            for (_, app), offload in zip(by_value, wants)
+        ]
+        reports = self._batch_reports(
+            [
+                key
+                for (device, _), (local_app, remote_app) in zip(by_value, apps)
+                for key in ((device, local_app, self.network), (device, remote_app, remote_network))
+            ]
+        )
+        classes: List[_UserClass] = []
+        for (device, app), pair, offload, local, remote in zip(
+            by_value, apps, wants, reports[0::2], reports[1::2]
+        ):
+            candidate = UserCandidate(
+                name=device,
+                wants_offload=offload,
+                frame_rate_fps=app.frame_rate_fps,
+                service_time_ms=self._service_time_ms(device, pair[1]),
+                local_latency_ms=local.total_latency_ms,
+                remote_latency_ms=remote.total_latency_ms,
+                local_energy_mj=local.total_energy_mj,
+                remote_energy_mj=remote.total_energy_mj,
+            )
+            classes.append(_UserClass(device, pair, candidate))
+        fields = [astuple(entry.candidate)[1:] for entry in classes]
+        candidates = [
+            UserCandidate(user.name, *fields[index])
+            for user, index in zip(self.population, class_of)
+        ]
+        return class_of, classes, candidates
 
     def candidates(self) -> List[UserCandidate]:
         """Per-user statistics for the admission policy.
@@ -289,45 +338,7 @@ class FleetAnalyzer:
         With a single user this bound coincides with the uncontended
         channel, preserving the single-user equivalence.
         """
-        n_wants = sum(1 for user in self.population if user.wants_offload)
-        remote_network = self.contention.network_for(max(n_wants, 1))
-        # Collect every unique (device, app, network) key up front and
-        # evaluate them in one vectorized batch instead of per-user calls.
-        keys: List[Tuple[str, ApplicationConfig, NetworkConfig]] = []
-        for user in self.population:
-            keys.append(
-                (user.device, self._mode_variant(user.app, ExecutionMode.LOCAL), self.network)
-            )
-            remote_app = (
-                user.app
-                if user.wants_offload
-                else self._mode_variant(user.app, ExecutionMode.REMOTE)
-            )
-            keys.append((user.device, remote_app, remote_network))
-        self._prime_reports(keys)
-        result: List[UserCandidate] = []
-        for user in self.population:
-            local_app = self._mode_variant(user.app, ExecutionMode.LOCAL)
-            remote_app = (
-                user.app
-                if user.wants_offload
-                else self._mode_variant(user.app, ExecutionMode.REMOTE)
-            )
-            local = self._report(user.device, local_app, self.network)
-            remote = self._report(user.device, remote_app, remote_network)
-            result.append(
-                UserCandidate(
-                    name=user.name,
-                    wants_offload=user.wants_offload,
-                    frame_rate_fps=user.frame_rate_fps,
-                    service_time_ms=self._service_time_ms(user.device, remote_app),
-                    local_latency_ms=local.total_latency_ms,
-                    remote_latency_ms=remote.total_latency_ms,
-                    local_energy_mj=local.total_energy_mj,
-                    remote_energy_mj=remote.total_energy_mj,
-                )
-            )
-        return result
+        return self._class_candidates()[2]
 
     def placements(self) -> List[PlacementDecision]:
         """Admission/placement decisions for the whole fleet."""
@@ -339,8 +350,10 @@ class FleetAnalyzer:
         """Evaluate the whole fleet and aggregate into a :class:`FleetReport`."""
         with telemetry.get().span(
             "fleet.analyze", users=len(self.population), edges=self.n_edges
-        ):
-            report = self._analyze()
+        ) as span:
+            class_of, classes, candidates = self._class_candidates()
+            span.annotate(classes=len(classes))
+            report = self._analyze(class_of, classes, candidates)
         if telemetry.get().enabled:
             self._publish_cache_stats()
         return report
@@ -393,24 +406,25 @@ class FleetAnalyzer:
         ]
         return decisions, 0
 
-    def _analyze(self) -> FleetReport:
+    def _analyze(
+        self,
+        class_of: List[int],
+        classes: List[_UserClass],
+        candidates: List[UserCandidate],
+    ) -> FleetReport:
         fault_state = self.fault_state
-        candidates = self.candidates()
         decisions, forced_local = self._placements_under_faults(candidates)
-        by_name = {candidate.name: candidate for candidate in candidates}
-
-        offloaders = [decision for decision in decisions if decision.offload]
-        n_stations = len(offloaders)
-        contended = (
-            self.contention.network_for(n_stations) if n_stations else self.network
-        )
+        offloaded = [decision.offload for decision in decisions]
+        offload_classes = [index for index, offload in zip(class_of, offloaded) if offload]
 
         # Per-edge offered load and each offloader's tagged wait; a fault
         # state inflates the service time of the edges it degrades.
+        rates = np.array([entry.candidate.arrival_rate_per_ms for entry in classes])
+        services = np.array([entry.candidate.service_time_ms for entry in classes])
         loads = self.scheduler.edge_loads(
-            [decision.edge_index for decision in offloaders],
-            [by_name[decision.name].arrival_rate_per_ms for decision in offloaders],
-            [by_name[decision.name].service_time_ms for decision in offloaders],
+            [decision.edge_index for decision in decisions if decision.offload],
+            rates[offload_classes],
+            services[offload_classes],
             self.n_edges,
             service_scale=(
                 [fault_state.service_scale(index) for index in range(self.n_edges)]
@@ -420,60 +434,52 @@ class FleetAnalyzer:
         )
         offloader_waits = iter(loads.wait_ms.tolist())
 
-        # Batch-evaluate the outcome reports that candidates() did not already
-        # cover (the post-admission contention level can differ from the
-        # admission bound when a policy rejects users).
-        outcome_keys: List[Tuple[str, ApplicationConfig, NetworkConfig]] = []
-        for user, decision in zip(self.population, decisions):
-            if decision.offload:
-                outcome_app = (
-                    user.app
-                    if user.wants_offload
-                    else self._mode_variant(user.app, ExecutionMode.REMOTE)
-                )
-                outcome_keys.append((user.device, outcome_app, contended))
-            else:
-                outcome_keys.append(
-                    (
-                        user.device,
-                        self._mode_variant(user.app, ExecutionMode.LOCAL),
-                        self.network,
-                    )
-                )
-        self._prime_reports(outcome_keys)
-
-        outcomes: List[UserOutcome] = []
-        for user, decision in zip(self.population, decisions):
-            if decision.offload:
-                app = user.app if user.wants_offload else self._mode_variant(
-                    user.app, ExecutionMode.REMOTE
-                )
-                network = contended
-                wait_ms = next(offloader_waits)
-            else:
-                app = self._mode_variant(user.app, ExecutionMode.LOCAL)
-                network = self.network
-                wait_ms = 0.0
-            report = self._report(user.device, app, network)
-            # Waiting for a contended edge keeps the radio idle-listening;
-            # bill that time at the radio idle power (W * ms = mJ).
-            wait_energy_mj = (
-                network.radio_idle_power_w * wait_ms if wait_ms != float("inf") else 0.0
-            )
+        # One outcome side per (class, offloaded) pair some user takes, in
+        # order of first appearance; the post-admission contention level can
+        # differ from the candidates' bound when a policy rejects users.
+        pairs = list(dict.fromkeys(zip(class_of, offloaded)))
+        # Local users keep the clean channel; offloaders share the contended one.
+        n_stations = len(offload_classes)
+        contended = self.contention.network_for(n_stations) if n_stations else self.network
+        networks = (self.network, contended)
+        keys = [
+            (classes[index].device, classes[index].apps[offload], networks[offload])
+            for index, offload in pairs
+        ]
+        sides = {}
+        for pair, (_, app, network), report in zip(pairs, keys, self._batch_reports(keys)):
             fresh_fraction = None
             if report.aoi is not None and report.aoi.roi:
                 fresh_fraction = len(report.aoi.fresh_sensors()) / len(report.aoi.roi)
+            sides[pair] = (
+                app.inference.mode.value,
+                network,
+                report,
+                report.total_latency_ms,
+                report.total_energy_mj,
+                fresh_fraction,
+            )
+
+        outcomes: List[UserOutcome] = []
+        for user, index, decision in zip(self.population, class_of, decisions):
+            mode, network, report, latency_ms, energy_mj, fresh_fraction = sides[
+                index, decision.offload
+            ]
+            wait_ms = next(offloader_waits) if decision.offload else 0.0
+            # Waiting for a contended edge keeps the radio idle-listening;
+            # bill that time at the radio idle power (W * ms = mJ).
+            wait_energy_mj = network.radio_idle_power_w * wait_ms if wait_ms != math.inf else 0.0
             outcomes.append(
                 UserOutcome(
                     user=user.name,
                     device=user.device,
-                    mode=app.inference.mode.value,
+                    mode=mode,
                     offloaded=decision.offload,
                     edge_index=decision.edge_index,
                     throughput_mbps=network.throughput_mbps,
                     edge_wait_ms=wait_ms,
-                    latency_ms=report.total_latency_ms + wait_ms,
-                    energy_mj=report.total_energy_mj + wait_energy_mj,
+                    latency_ms=latency_ms + wait_ms,
+                    energy_mj=energy_mj + wait_energy_mj,
                     report=report,
                     aoi_fresh_fraction=fresh_fraction,
                 )
@@ -483,19 +489,12 @@ class FleetAnalyzer:
             if registry.enabled and fault_state.any_fault:
                 registry.add("faults.fleet.analyses")
                 registry.add("faults.fleet.forced_local", forced_local)
-                registry.add(
-                    "faults.fleet.edges_dead",
-                    fault_state.n_edges - fault_state.n_edges_alive,
-                )
+                registry.add("faults.fleet.edges_dead", self.n_edges - fault_state.n_edges_alive)
         return FleetReport.from_outcomes(
             outcomes,
             edge_utilizations=loads.utilization,
             slo_ms=self.slo_ms,
-            availability=(
-                fault_state.availability if fault_state is not None else 1.0
-            ),
-            n_edges_alive=(
-                fault_state.n_edges_alive if fault_state is not None else None
-            ),
+            availability=fault_state.availability if fault_state is not None else 1.0,
+            n_edges_alive=fault_state.n_edges_alive if fault_state is not None else None,
             fault_forced_local=forced_local,
         )

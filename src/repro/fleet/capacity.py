@@ -28,10 +28,11 @@ import numpy as np
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.device import EdgeServerSpec
 from repro.config.network import NetworkConfig
+from repro.config.validation import ensure_positive
 from repro.core.coefficients import CoefficientSet
 from repro.core.segments import Segment
 from repro.exceptions import ConfigurationError
-from repro.fleet.admission import AdmissionPolicy, RoundRobinAdmission
+from repro.fleet.admission import AdmissionPolicy, RoundRobinAdmission, check_edge_count
 from repro.fleet.analyzer import FleetAnalyzer
 from repro.fleet.contention import ContentionModel
 from repro.fleet.edge_scheduler import EdgeScheduler
@@ -230,10 +231,8 @@ def plan_capacity(
     ``max_users == 0`` (capacity-driven deployment sizing, the co-sim CLI)
     get a clear terminal error rather than a bogus plan.
     """
-    if slo_ms <= 0.0:
-        raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
-    if n_edges < 1:
-        raise ConfigurationError(f"need at least one edge server, got {n_edges}")
+    ensure_positive("SLO (ms)", slo_ms)
+    check_edge_count(n_edges)
     shared_coefficients = (
         coefficients if coefficients is not None else CoefficientSet.paper()
     )
@@ -369,8 +368,7 @@ def plan_edges(
             The search always terminates: ``max_edges`` is probed first, so
             an unmeetable SLO costs exactly one evaluation.
     """
-    if slo_ms <= 0.0:
-        raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
+    ensure_positive("SLO (ms)", slo_ms)
     if n_users < 1:
         raise ConfigurationError(f"n_users must be >= 1, got {n_users}")
     if max_edges < 1:

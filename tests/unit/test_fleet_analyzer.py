@@ -314,3 +314,32 @@ class TestPlanEdges:
             plan_edges(n_users=0)
         with pytest.raises(ConfigurationError):
             plan_edges(max_edges=0)
+
+
+class TestBoundaryValidation:
+    """Invalid SLOs and edge counts fail with ConfigurationError at the entry point."""
+
+    def test_greedy_policy_rejects_nan_slo(self):
+        with pytest.raises(ConfigurationError, match="SLO"):
+            GreedySLOAdmission(math.nan)
+
+    @pytest.mark.parametrize("slo_ms", [math.nan, -1.0])
+    def test_analyzer_rejects_invalid_slo(self, slo_ms, remote_fleet_app):
+        with pytest.raises(ConfigurationError, match="SLO"):
+            FleetAnalyzer(homogeneous(2, app=remote_fleet_app), slo_ms=slo_ms)
+
+    def test_plan_capacity_rejects_nan_slo(self):
+        with pytest.raises(ConfigurationError, match="SLO"):
+            plan_capacity(device="XR1", slo_ms=math.nan, max_users=8)
+
+    def test_plan_edges_rejects_nan_slo(self):
+        with pytest.raises(ConfigurationError, match="SLO"):
+            plan_edges(device="XR1", n_users=4, slo_ms=math.nan, max_edges=4)
+
+    def test_analyzer_rejects_fractional_edge_count(self, remote_fleet_app):
+        with pytest.raises(ConfigurationError, match="at least one edge"):
+            FleetAnalyzer(homogeneous(2, app=remote_fleet_app), n_edges=2.5)
+
+    def test_plan_capacity_rejects_fractional_edge_count(self):
+        with pytest.raises(ConfigurationError, match="at least one edge"):
+            plan_capacity(device="XR1", slo_ms=SLO_MS, n_edges=1.5, max_users=8)

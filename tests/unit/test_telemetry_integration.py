@@ -17,7 +17,7 @@ from repro import telemetry
 from repro.adaptive import AdaptiveRuntime, GreedyBatchSweep, HysteresisThreshold, burst_trace
 from repro.cosim import run_cosim
 from repro.experiments import ExperimentRunner, RunManifest, bundled_suite
-from repro.fleet import FleetAnalyzer, GreedySLOAdmission, homogeneous
+from repro.fleet import FleetAnalyzer, GreedySLOAdmission, homogeneous, mixed_devices
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +152,14 @@ class TestFleetCacheStats:
         assert gauges["fleet.cache.models.currsize"] == stats["models"]["currsize"]
         assert gauges["fleet.cache.reports.hits"] == stats["reports"]["hits"]
         assert registry.snapshot()["spans"]["fleet.analyze"]["count"] == 1
+
+    def test_analyze_span_reports_the_class_count(self):
+        registry = telemetry.enable()
+        FleetAnalyzer(
+            mixed_devices(12, devices=("XR1", "XR2", "XR6")), n_edges=2, include_aoi=False
+        ).analyze()
+        counters = registry.snapshot()["spans"]["fleet.analyze"]["counters"]
+        assert counters == {"users": 12, "edges": 2, "classes": 3}
 
     def test_adaptive_counters_and_prewarm_span(self):
         registry = telemetry.enable()
