@@ -11,12 +11,10 @@ from repro.evaluation.ablations import (
     ablation_complexity_mode,
     ablation_memory_term,
 )
-from repro.evaluation.report import save_text
 
 
 def test_bench_ablation_complexity_mode(benchmark):
     result = benchmark.pedantic(ablation_complexity_mode, iterations=1, rounds=1)
-    save_text("ablation_complexity_mode.txt", result.to_text())
     print()
     print(result.to_text())
     assert len(result.rows) >= 9  # one row per lightweight CNN
@@ -24,7 +22,6 @@ def test_bench_ablation_complexity_mode(benchmark):
 
 def test_bench_ablation_memory_term(benchmark):
     result = benchmark.pedantic(ablation_memory_term, iterations=1, rounds=1)
-    save_text("ablation_memory_term.txt", result.to_text())
     print()
     print(result.to_text())
     # Removing the memory term can only lower the predicted latency.
@@ -36,7 +33,6 @@ def test_bench_ablation_coefficient_source(benchmark):
     result = benchmark.pedantic(
         ablation_coefficient_source, kwargs={"quick": False}, iterations=1, rounds=1
     )
-    save_text("ablation_coefficient_source.txt", result.to_text())
     print()
     print(result.to_text())
     paper_error = float(result.headline.split("paper constants ")[1].split("%")[0])
@@ -49,7 +45,6 @@ def test_bench_ablation_coefficient_source(benchmark):
 
 def test_bench_ablation_buffer_model(benchmark):
     result = benchmark.pedantic(ablation_buffer_model, iterations=1, rounds=1)
-    save_text("ablation_buffer_model.txt", result.to_text())
     print()
     print(result.to_text())
     for row in result.rows:

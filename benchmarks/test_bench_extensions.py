@@ -12,12 +12,10 @@ from repro.evaluation.extensions import (
     pathloss_extension,
     session_extension,
 )
-from repro.evaluation.report import save_text
 
 
 def test_bench_extension_mobility(benchmark):
     result = benchmark.pedantic(mobility_extension, iterations=1, rounds=2)
-    save_text("extension_mobility.txt", result.to_text())
     print()
     print(result.to_text())
     latencies = [float(row[2]) for row in result.rows]
@@ -26,7 +24,6 @@ def test_bench_extension_mobility(benchmark):
 
 def test_bench_extension_pathloss(benchmark):
     result = benchmark.pedantic(pathloss_extension, iterations=1, rounds=2)
-    save_text("extension_pathloss.txt", result.to_text())
     print()
     print(result.to_text())
     throughputs = [float(row[1]) for row in result.rows]
@@ -35,7 +32,6 @@ def test_bench_extension_pathloss(benchmark):
 
 def test_bench_extension_multi_edge(benchmark):
     result = benchmark.pedantic(multi_edge_extension, iterations=1, rounds=2)
-    save_text("extension_multi_edge.txt", result.to_text())
     print()
     print(result.to_text())
     remote = [float(row[1]) for row in result.rows]
@@ -46,7 +42,6 @@ def test_bench_extension_adaptation(benchmark):
     result = benchmark.pedantic(
         adaptation_extension, kwargs={"n_epochs": 150, "seed": 3}, iterations=1, rounds=1
     )
-    save_text("extension_adaptation.txt", result.to_text())
     print()
     print(result.to_text())
     # Rows: best static, hysteresis, greedy, ewma — all deadline-safe, and
@@ -60,7 +55,6 @@ def test_bench_extension_session(benchmark):
     result = benchmark.pedantic(
         session_extension, kwargs={"n_frames": 200, "seed": 3}, iterations=1, rounds=1
     )
-    save_text("extension_session.txt", result.to_text())
     print()
     print(result.to_text())
     assert len(result.rows) == 7

@@ -10,7 +10,6 @@ loose envelope of the paper's number while preserving the figure's shape.
 from repro.config.application import ExecutionMode
 from repro.core.framework import XRPerformanceModel
 from repro.evaluation.figures import figure_4a
-from repro.evaluation.report import save_text
 
 
 def test_bench_fig4a_latency_local(benchmark, figure_context):
@@ -30,7 +29,6 @@ def test_bench_fig4a_latency_local(benchmark, figure_context):
     )
 
     figure = figure_4a(context=figure_context)
-    save_text("figure_4a.txt", figure.to_text())
     print()
     print(figure.to_text())
 

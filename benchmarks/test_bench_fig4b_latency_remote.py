@@ -6,7 +6,6 @@ Paper headline: 3.23 % mean error (device mobility disabled).
 from repro.config.application import ExecutionMode
 from repro.core.framework import XRPerformanceModel
 from repro.evaluation.figures import figure_4b
-from repro.evaluation.report import save_text
 
 
 def test_bench_fig4b_latency_remote(benchmark, figure_context):
@@ -25,7 +24,6 @@ def test_bench_fig4b_latency_remote(benchmark, figure_context):
     )
 
     figure = figure_4b(context=figure_context)
-    save_text("figure_4b.txt", figure.to_text())
     print()
     print(figure.to_text())
 

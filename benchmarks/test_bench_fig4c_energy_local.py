@@ -5,7 +5,6 @@ Paper headline: 3.52 % mean error.
 
 from repro.core.framework import XRPerformanceModel
 from repro.evaluation.figures import figure_4c
-from repro.evaluation.report import save_text
 
 
 def test_bench_fig4c_energy_local(benchmark, figure_context):
@@ -19,7 +18,6 @@ def test_bench_fig4c_energy_local(benchmark, figure_context):
     benchmark(model.analyze_energy)
 
     figure = figure_4c(context=figure_context)
-    save_text("figure_4c.txt", figure.to_text())
     print()
     print(figure.to_text())
 

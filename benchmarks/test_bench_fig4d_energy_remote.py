@@ -7,7 +7,6 @@ from repro.config.application import ExecutionMode
 from repro.core.framework import XRPerformanceModel
 from repro.core.segments import Segment
 from repro.evaluation.figures import figure_4d
-from repro.evaluation.report import save_text
 
 
 def test_bench_fig4d_energy_remote(benchmark, figure_context):
@@ -21,7 +20,6 @@ def test_bench_fig4d_energy_remote(benchmark, figure_context):
     benchmark(model.analyze_energy, remote_app)
 
     figure = figure_4d(context=figure_context)
-    save_text("figure_4d.txt", figure.to_text())
     print()
     print(figure.to_text())
 

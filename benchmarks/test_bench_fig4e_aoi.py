@@ -10,7 +10,6 @@ import numpy as np
 from repro.config.workload import WorkloadConfig
 from repro.core.aoi import AoIModel
 from repro.evaluation.figures import figure_4e
-from repro.evaluation.report import save_text
 
 
 def test_bench_fig4e_aoi(benchmark):
@@ -21,7 +20,6 @@ def test_bench_fig4e_aoi(benchmark):
     benchmark(model.timelines_for_workload, workload)
 
     figure = figure_4e(workload=workload)
-    save_text("figure_4e.txt", figure.to_text())
     print()
     print(figure.to_text())
 

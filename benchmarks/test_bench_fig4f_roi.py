@@ -10,7 +10,6 @@ import pytest
 
 from repro.config.workload import WorkloadConfig
 from repro.evaluation.figures import figure_4f
-from repro.evaluation.report import save_text
 from repro.simulation.sensor_sim import emulate_aoi
 
 
@@ -23,7 +22,6 @@ def test_bench_fig4f_roi(benchmark):
     benchmark(emulate_aoi, workload)
 
     figure = figure_4f(workload=workload)
-    save_text("figure_4f.txt", figure.to_text())
     print()
     print(figure.to_text())
 

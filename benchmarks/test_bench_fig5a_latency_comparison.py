@@ -5,14 +5,12 @@ The paper reports the proposed model beating FACT by 17.59 % and LEAF by
 """
 
 from repro.evaluation.figures import figure_5a
-from repro.evaluation.report import save_text
 
 
 def test_bench_fig5a_latency_comparison(benchmark, figure_context):
     figure = benchmark.pedantic(
         figure_5a, kwargs={"context": figure_context}, iterations=1, rounds=1
     )
-    save_text("figure_5a.txt", figure.to_text())
     print()
     print(figure.to_text())
 

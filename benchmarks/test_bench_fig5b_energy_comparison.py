@@ -5,14 +5,12 @@ The paper reports the proposed model beating FACT by 15.30 % and LEAF by
 """
 
 from repro.evaluation.figures import figure_5b
-from repro.evaluation.report import save_text
 
 
 def test_bench_fig5b_energy_comparison(benchmark, figure_context):
     figure = benchmark.pedantic(
         figure_5b, kwargs={"context": figure_context}, iterations=1, rounds=1
     )
-    save_text("figure_5b.txt", figure.to_text())
     print()
     print(figure.to_text())
 

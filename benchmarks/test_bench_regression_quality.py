@@ -8,15 +8,8 @@ same quality band with held-out devices scoring similarly to the training
 devices.
 """
 
-from repro.evaluation.report import format_table, save_text
+from repro.figures.builders import PAPER_R2
 from repro.measurement.synthetic import CampaignConfig, SyntheticCampaign
-
-PAPER_R2 = {
-    "compute_resource": 0.87,
-    "mean_power": 0.863,
-    "encoding_latency": 0.79,
-    "cnn_complexity": 0.844,
-}
 
 
 def _fit_campaign():
@@ -27,22 +20,13 @@ def _fit_campaign():
 def test_bench_regression_quality(benchmark):
     fits = benchmark.pedantic(_fit_campaign, iterations=1, rounds=3)
     summary = fits.r_squared_summary()
-
-    rows = []
-    for key, paper_value in PAPER_R2.items():
-        rows.append((key, f"{paper_value:.3f}", f"{summary[key]:.3f}"))
-    text = "Regression fit quality (train R^2)\n" + format_table(
-        rows, headers=("regression", "paper", "reproduction")
-    )
-    save_text("regression_quality.txt", text)
-    print()
-    print(text)
+    paper = dict(PAPER_R2)
 
     # Each regression lands within a reasonable band of the paper's value.
-    assert abs(summary["compute_resource"] - PAPER_R2["compute_resource"]) < 0.15
-    assert abs(summary["mean_power"] - PAPER_R2["mean_power"]) < 0.15
-    assert abs(summary["encoding_latency"] - PAPER_R2["encoding_latency"]) < 0.18
-    assert abs(summary["cnn_complexity"] - PAPER_R2["cnn_complexity"]) < 0.18
+    assert abs(summary["compute_resource"] - paper["compute_resource"]) < 0.15
+    assert abs(summary["mean_power"] - paper["mean_power"]) < 0.15
+    assert abs(summary["encoding_latency"] - paper["encoding_latency"]) < 0.18
+    assert abs(summary["cnn_complexity"] - paper["cnn_complexity"]) < 0.18
 
     # Held-out devices (the paper's test split) generalise.
     assert abs(fits.resource.r_squared_test - fits.resource.r_squared_train) < 0.15

@@ -1,7 +1,6 @@
 """Table I reproduction benchmark: the XR / edge device catalog."""
 
 from repro.devices.catalog import list_devices, list_edge_servers
-from repro.evaluation.report import save_text
 from repro.evaluation.tables import table_1
 
 
@@ -27,6 +26,5 @@ def test_bench_table1_devices(benchmark):
     ):
         assert expected in text
 
-    save_text("table_I.txt", text)
     print()
     print(text)

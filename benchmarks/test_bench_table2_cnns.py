@@ -1,7 +1,6 @@
 """Table II reproduction benchmark: the CNN model zoo."""
 
 from repro.cnn.zoo import get_cnn
-from repro.evaluation.report import save_text
 from repro.evaluation.tables import table_2
 
 
@@ -17,6 +16,5 @@ def test_bench_table2_cnns(benchmark):
 
     text = table.to_text()
     assert "EfficientNet Quant" in text
-    save_text("table_II.txt", text)
     print()
     print(text)

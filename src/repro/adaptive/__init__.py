@@ -21,12 +21,14 @@ Quickstart::
 """
 
 from repro.adaptive.controllers import (
+    CONTROLLERS,
     Controller,
     ControllerBase,
     EwmaPredictive,
     GreedyBatchSweep,
     HysteresisThreshold,
     StaticBaseline,
+    make_controller,
 )
 from repro.adaptive.runtime import (
     AdaptationReport,
@@ -51,6 +53,7 @@ from repro.adaptive.traces import (
 __all__ = [
     "AdaptationReport",
     "AdaptiveRuntime",
+    "CONTROLLERS",
     "CandidateEvaluation",
     "ConditionTrace",
     "ControlContext",
@@ -67,6 +70,7 @@ __all__ = [
     "candidate_quality",
     "default_candidates",
     "drift_trace",
+    "make_controller",
     "make_trace",
     "mobility_fading_trace",
     "step_trace",

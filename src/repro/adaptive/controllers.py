@@ -30,7 +30,7 @@ makes adaptation runs bit-replayable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -341,3 +341,22 @@ class EwmaPredictive(ControllerBase):
             self.alpha * conditions.handoff_probability
             + (1.0 - self.alpha) * self._ewma_handoff
         )
+
+
+#: The adaptive controllers by name (the CLI and scenario vocabulary).
+CONTROLLERS: Dict[str, Callable[[], Controller]] = {
+    "hysteresis": HysteresisThreshold,
+    "greedy": GreedyBatchSweep,
+    "ewma": EwmaPredictive,
+}
+
+
+def make_controller(name: str) -> Controller:
+    """A fresh default-configured controller by name."""
+    try:
+        factory = CONTROLLERS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown controller {name!r}; available: {sorted(CONTROLLERS)}"
+        ) from None
+    return factory()

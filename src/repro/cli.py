@@ -290,13 +290,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    from repro.adaptive import (
-        AdaptiveRuntime,
-        EwmaPredictive,
-        GreedyBatchSweep,
-        HysteresisThreshold,
-        make_trace,
-    )
+    from repro.adaptive import CONTROLLERS, AdaptiveRuntime, make_controller, make_trace
 
     trace = make_trace(
         args.trace, args.epochs, epoch_ms=args.epoch_ms, seed=args.seed
@@ -308,16 +302,9 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         objective=args.objective,
     )
-    controllers = {
-        "hysteresis": HysteresisThreshold(),
-        "greedy": GreedyBatchSweep(),
-        "ewma": EwmaPredictive(),
-    }
-    if args.controller != "all":
-        controllers = {args.controller: controllers[args.controller]}
-
+    names = tuple(CONTROLLERS) if args.controller == "all" else (args.controller,)
     reports = [runtime.static_report()]
-    reports.extend(runtime.run(controller) for controller in controllers.values())
+    reports.extend(runtime.run(make_controller(name)) for name in names)
     rows = [
         (
             report.controller,
@@ -357,26 +344,15 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
 
 def _cmd_cosim(args: argparse.Namespace) -> int:
-    from repro.adaptive import (
-        EwmaPredictive,
-        GreedyBatchSweep,
-        HysteresisThreshold,
-        make_trace,
-    )
+    from repro.adaptive import make_controller, make_trace
     from repro.cosim import run_cosim
     from repro.fleet import homogeneous
 
     trace = make_trace(args.trace, args.epochs, epoch_ms=args.epoch_ms, seed=args.seed)
-    controllers = {
-        "hysteresis": HysteresisThreshold,
-        "greedy": GreedyBatchSweep,
-        "ewma": EwmaPredictive,
-    }
-    controller = controllers[args.controller]()
     population = homogeneous(args.users, device=args.device)
     report = run_cosim(
         population,
-        controller,
+        make_controller(args.controller),
         trace,
         n_shards=args.shards,
         backend=args.backend,
@@ -386,7 +362,6 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
         objective=args.objective,
         include_aoi=False,
         max_iterations=args.max_iterations,
-        damping=args.damping,
     )
     print(
         f"Closed-loop co-simulation — {args.users} users on {args.device}, "
@@ -916,14 +891,14 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
     schedule = _resolve_fault_schedule(args)
     payload = {"workload": args.workload, "schedule": schedule.to_dict()}
     if args.workload == "cosim":
-        from repro.adaptive import make_trace
+        from repro.adaptive import make_controller, make_trace
         from repro.cosim import run_cosim
         from repro.fleet import homogeneous
 
         trace = make_trace(args.trace, args.epochs or 40, seed=args.seed)
         report = run_cosim(
             homogeneous(args.users, device=args.device),
-            _adapt_controller_instance(args.controller),
+            make_controller(args.controller),
             trace,
             n_shards=args.shards,
             backend=args.backend,
@@ -936,7 +911,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
         print(report.summary())
         payload["report"] = report.to_dict()
     elif args.workload == "adapt":
-        from repro.adaptive import AdaptiveRuntime, make_trace
+        from repro.adaptive import AdaptiveRuntime, make_controller, make_trace
 
         trace = make_trace(args.trace, args.epochs or 40, seed=args.seed)
         runtime = AdaptiveRuntime(
@@ -947,7 +922,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
             include_aoi=False,
             faults=schedule,
         )
-        report = runtime.run(_adapt_controller_instance(args.controller))
+        report = runtime.run(make_controller(args.controller))
         outcome = runtime.fault_report(report)
         print(report.summary())
         print(outcome.summary())
@@ -1122,16 +1097,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.json:
         print(f"wrote {args.json}")
     return report.exit_code
-
-
-def _adapt_controller_instance(name: str):
-    from repro.adaptive import EwmaPredictive, GreedyBatchSweep, HysteresisThreshold
-
-    return {
-        "hysteresis": HysteresisThreshold,
-        "greedy": GreedyBatchSweep,
-        "ewma": EwmaPredictive,
-    }[name]()
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -1354,12 +1319,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="per-epoch best-response iteration budget",
-    )
-    cosim.add_argument(
-        "--damping",
-        type=float,
-        default=0.5,
-        help="relaxation factor on the endogenous conditions between iterations",
     )
     cosim.set_defaults(handler=_cmd_cosim)
 

@@ -19,8 +19,8 @@ previous epoch's decisions seed a load estimate, every controller re-decides
 against the implied (contended throughput, edge wait) conditions, and the
 loop repeats until the decision vector stops changing or the iteration
 budget is exhausted.  The endogenous quantities fed to the controllers are
-relaxed between iterations (``damping``) to tame decision flapping; the
-*charged* outcomes always use the exact loads implied by the final
+relaxed between iterations (half old, half new) to tame decision flapping;
+the *charged* outcomes always use the exact loads implied by the final
 decisions.  Every epoch's convergence flag and iteration count are recorded
 on the :class:`~repro.cosim.results.CosimReport` — an adversarial fleet
 whose best responses cycle is reported, not hidden.
@@ -31,8 +31,12 @@ Users sharing ``(device, app, controller, trace)`` see identical conditions
 and make identical decisions, so the engine simulates one representative
 controller per class and multiplies: a 10k-user homogeneous fleet costs the
 same controller work as a single user plus O(users) NumPy arithmetic per
-epoch.  Candidate evaluation inside each class goes through the vectorized
-batch engine's structure-group path via the
+epoch.  The classes are the population's ``(device, app)`` classes
+(:meth:`~repro.fleet.population.FleetPopulation.classes`, shared with the
+fleet analyzer), split further by controller and trace identity only when
+either is given per user (a mapping or a factory).  Candidate evaluation
+inside each class goes through the vectorized batch engine's
+structure-group path via the
 :class:`~repro.adaptive.runtime.ControlContext` sweep cache, pre-warmed for
 the class's exogenous trace when the class is built.
 
@@ -102,6 +106,10 @@ TraceLike = Union[
     Callable[[UserProfile], ConditionTrace],
 ]
 
+#: Relaxation factor on the endogenous throughput/wait between best-response
+#: iterations (1.0 would be undamped best response).
+_DAMPING = 0.5
+
 
 class CosimControlContext(ControlContext):
     """A :class:`ControlContext` whose sweeps carry the fleet's edge wait.
@@ -161,7 +169,8 @@ class _UserClass:
     app: ApplicationConfig
     template: Controller
     trace: ConditionTrace
-    user_indices: List[int] = field(default_factory=list)
+    #: The member users' population indices, ascending.
+    users: np.ndarray
     context: CosimControlContext = None  # type: ignore[assignment]
     controller: Controller = None  # type: ignore[assignment]
     arrival_per_ms: np.ndarray = None  # type: ignore[assignment]
@@ -172,7 +181,7 @@ class _UserClass:
 
     @property
     def n_users(self) -> int:
-        return len(self.user_indices)
+        return len(self.users)
 
 
 @dataclass
@@ -198,6 +207,7 @@ class CoSimulation:
             *same* controller object (and device, app, trace) form one
             equivalence class and are simulated by a single proxy; a factory
             returning fresh instances therefore opts a user out of sharing.
+            A mapping missing a user raises :class:`ConfigurationError`.
         trace: exogenous per-user condition timeline(s) — the channel each
             user would see absent the rest of the fleet (fading, mobility
             handoffs, non-fleet contenders).  Same sharing semantics as
@@ -217,9 +227,6 @@ class CoSimulation:
             evaluation contexts.
         max_iterations: best-response iteration budget per epoch (>= 2 so a
             fixed point can be verified).
-        damping: relaxation factor in (0, 1] applied to the endogenous
-            throughput/wait between iterations (1.0 = undamped best
-            response).  Charged outcomes always use undamped final loads.
         faults: optional :class:`~repro.faults.schedule.FaultSchedule`
             injected into the closed loop — dead edges leave the
             round-robin deal, brownouts and straggler windows inflate the
@@ -249,7 +256,6 @@ class CoSimulation:
         complexity_mode: str = "paper",
         include_aoi: bool = True,
         max_iterations: int = 8,
-        damping: float = 0.5,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         if n_edges < 1:
@@ -259,8 +265,6 @@ class CoSimulation:
                 f"max_iterations must be >= 2 to verify a fixed point, "
                 f"got {max_iterations}"
             )
-        if not 0.0 < damping <= 1.0:
-            raise ConfigurationError(f"damping must be in (0, 1], got {damping}")
         self.population = (
             population
             if isinstance(population, FleetPopulation)
@@ -281,7 +285,6 @@ class CoSimulation:
         self.complexity_mode = complexity_mode
         self.include_aoi = include_aoi
         self.max_iterations = int(max_iterations)
-        self.damping = float(damping)
         self.faults = faults
         # Validates edge targets against the pool up front and memoizes the
         # per-epoch composed states.
@@ -293,26 +296,26 @@ class CoSimulation:
         self._models: Dict[object, XRPerformanceModel] = {}
         self._share_cache: Dict[int, float] = {}
         self._classes, self._class_of_user = self._build_classes(controller, trace, candidates)
-        self._user_arrays = [
-            np.asarray(cls.user_indices, dtype=np.intp) for cls in self._classes
-        ]
 
     # -- construction ---------------------------------------------------------
 
-    @staticmethod
-    def _resolve(spec, user: UserProfile, kind: str):
+    def _per_user(self, spec, kind: str) -> Optional[list]:
+        """Each user's value of a mapping or factory ``spec``; None when shared.
+
+        The spec's kind is dispatched once: a mapping is looked up by user
+        name, a callable that is neither a trace nor a controller is called
+        once per user, and anything else is one object every user shares.
+        """
         if isinstance(spec, Mapping):
             try:
-                return spec[user.name]
-            except KeyError:
+                return [spec[user.name] for user in self.population]
+            except KeyError as error:
                 raise ConfigurationError(
-                    f"no {kind} given for user {user.name!r}"
+                    f"no {kind} given for user {error.args[0]!r}"
                 ) from None
-        if isinstance(spec, ConditionTrace):
-            return spec
-        if callable(spec) and not isinstance(spec, Controller):
-            return spec(user)
-        return spec
+        if callable(spec) and not isinstance(spec, (ConditionTrace, Controller)):
+            return [spec(user) for user in self.population]
+        return None
 
     def _model_for(self, device) -> XRPerformanceModel:
         key = device if isinstance(device, str) else id(device)
@@ -333,35 +336,49 @@ class CoSimulation:
         trace: TraceLike,
         candidates: Optional[Sequence[OperatingPoint]],
     ) -> Tuple[List[_UserClass], np.ndarray]:
-        classes: List[_UserClass] = []
-        class_of_user = np.empty(self._n_users, dtype=np.intp)
-        key_to_index: Dict[tuple, int] = {}
-        for index, user in enumerate(self.population):
-            user_controller = self._resolve(controller, user, "controller")
-            user_trace = self._resolve(trace, user, "trace")
-            if not isinstance(user_trace, ConditionTrace):
-                raise ConfigurationError(
-                    f"cannot interpret {user_trace!r} as a condition trace"
+        class_of_user, keys = self.population.classes()
+        controllers = self._per_user(controller, "controller")
+        traces = self._per_user(trace, "trace")
+        if controllers is None and traces is None:
+            members = [(device, app, controller, trace) for device, app in keys]
+        else:
+            # Split the population classes by controller/trace identity.
+            controllers = controllers or [controller] * self._n_users
+            traces = traces or [trace] * self._n_users
+            refined: Dict[Tuple[int, int, int], int] = {}
+            members = []
+            class_of = []
+            for user, population_class, user_controller, user_trace in zip(
+                self.population, class_of_user.tolist(), controllers, traces
+            ):
+                cls_index = refined.setdefault(
+                    (population_class, id(user_controller), id(user_trace)), len(members)
                 )
-            key = (user.device, user.app, id(user_controller), id(user_trace))
-            cls_index = key_to_index.get(key)
-            if cls_index is None:
-                cls_index = len(classes)
-                key_to_index[key] = cls_index
-                classes.append(
-                    _UserClass(
-                        name=f"{user.device}/{getattr(user_controller, 'name', 'controller')}"
-                        f"#{cls_index}",
-                        device=user.device,
-                        app=user.app,
-                        template=user_controller,
-                        trace=user_trace,
-                    )
-                )
-            classes[cls_index].user_indices.append(index)
-            class_of_user[index] = cls_index
+                if cls_index == len(members):
+                    members.append((user.device, user.app, user_controller, user_trace))
+                class_of.append(cls_index)
+            class_of_user = np.array(class_of, dtype=np.intp)
+        order = np.argsort(class_of_user, kind="stable")
+        sizes = np.bincount(class_of_user, minlength=len(members))
+        classes = [
+            _UserClass(
+                name=f"{device}/{getattr(template, 'name', 'controller')}#{cls_index}",
+                device=device,
+                app=app,
+                template=template,
+                trace=cls_trace,
+                users=cls_users,
+            )
+            for cls_index, ((device, app, template, cls_trace), cls_users) in enumerate(
+                zip(members, np.split(order, np.cumsum(sizes)[:-1]))
+            )
+        ]
         reference = classes[0].trace
         for cls in classes:
+            if not isinstance(cls.trace, ConditionTrace):
+                raise ConfigurationError(
+                    f"cannot interpret {cls.trace!r} as a condition trace"
+                )
             if (
                 cls.trace.n_epochs != reference.n_epochs
                 or cls.trace.epoch_ms != reference.epoch_ms
@@ -438,16 +455,11 @@ class CoSimulation:
             return base
         return replace(base, throughput_mbps=share, n_contenders=n_offloaded)
 
-    def _damp(self, previous: Optional[float], new: float) -> float:
-        if (
-            previous is None
-            or previous == new
-            or self.damping >= 1.0
-            or math.isinf(new)
-            or math.isinf(previous)
-        ):
+    @staticmethod
+    def _damp(previous: Optional[float], new: float) -> float:
+        if previous is None or previous == new or math.isinf(new) or math.isinf(previous):
             return new
-        return self.damping * new + (1.0 - self.damping) * previous
+        return _DAMPING * new + (1.0 - _DAMPING) * previous
 
     # -- loads ----------------------------------------------------------------
 
@@ -671,7 +683,7 @@ class CoSimulation:
 
         class_reports: List[AdaptationReport] = []
         user_switches = np.zeros(n_users, dtype=int)
-        for cls, user_array in zip(classes, self._user_arrays):
+        for cls in classes:
             report = build_adaptation_report(
                 cls.controller.name,
                 cls.trace,
@@ -680,7 +692,7 @@ class CoSimulation:
                 cls.outcomes,
             )
             class_reports.append(report)
-            user_switches[user_array] = report.switch_count
+            user_switches[cls.users] = report.switch_count
 
         all_samples = np.repeat(
             np.concatenate(sample_values), np.concatenate(sample_counts)
@@ -903,16 +915,14 @@ class CoSimulation:
         sample_values.append(values)
         sample_counts.append(counts)
 
-        for cls_index, (cls, user_array) in enumerate(
-            zip(classes, self._user_arrays)
-        ):
-            mean_latency = float(np.mean(latency_user[user_array]))
+        for cls_index, cls in enumerate(classes):
+            mean_latency = float(np.mean(latency_user[cls.users]))
             outcome = EpochOutcome(
                 epoch=epoch,
                 time_ms=now_ms,
                 index=decisions[cls_index],
                 latency_ms=mean_latency,
-                energy_mj=float(np.mean(energy_user[user_array])),
+                energy_mj=float(np.mean(energy_user[cls.users])),
                 quality=float(quality_c[cls_index]),
                 deadline_missed=mean_latency > self.deadline_ms,
                 min_roi=roi_c[cls_index],

@@ -222,18 +222,8 @@ def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     return metrics
 
 
-def _adapt_controller(name: str):
-    from repro.adaptive import EwmaPredictive, GreedyBatchSweep, HysteresisThreshold
-
-    return {
-        "hysteresis": HysteresisThreshold,
-        "greedy": GreedyBatchSweep,
-        "ewma": EwmaPredictive,
-    }[name]()
-
-
 def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
-    from repro.adaptive import AdaptiveRuntime, make_trace
+    from repro.adaptive import AdaptiveRuntime, make_controller, make_trace
 
     params = spec.params
     trace = make_trace(
@@ -257,7 +247,7 @@ def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     if controller_name == "static":
         report = static = runtime.static_report()
     else:
-        report = runtime.run(_adapt_controller(controller_name))
+        report = runtime.run(make_controller(controller_name))
         static = runtime.static_report()
     metrics: Dict[str, object] = {
         "n_epochs": int(report.n_epochs),
@@ -282,7 +272,7 @@ def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
 
 
 def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
-    from repro.adaptive import StaticBaseline, make_trace
+    from repro.adaptive import make_controller, make_trace
     from repro.cosim import run_cosim
     from repro.fleet import homogeneous
 
@@ -293,18 +283,13 @@ def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         epoch_ms=float(params.get("epoch_ms", 100.0)),
         seed=spec.seed,
     )
-    controller_name = params.get("controller", "hysteresis")
-    if controller_name == "static":
-        controller = StaticBaseline()
-    else:
-        controller = _adapt_controller(controller_name)
     population = homogeneous(
         int(params.get("users", 64)), device=spec.device, app=spec.build_app()
     )
     faults = spec.build_faults()
     report = run_cosim(
         population,
-        controller,
+        make_controller(params.get("controller", "hysteresis")),
         trace,
         n_shards=int(params.get("shards", 1)),
         edge=spec.edge,
@@ -314,7 +299,6 @@ def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         objective=params.get("objective", "quality"),
         include_aoi=bool(params.get("include_aoi", False)),
         max_iterations=int(params.get("max_iterations", 8)),
-        damping=float(params.get("damping", 0.5)),
         faults=faults,
     )
     metrics: Dict[str, object] = {

@@ -76,7 +76,6 @@ _PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
         "deadline_ms",
         "objective",
         "max_iterations",
-        "damping",
         "include_aoi",
     ),
 }
@@ -249,7 +248,7 @@ class ScenarioSpec:
                         f"scenario {self.name!r}: {key} must be a positive integer, "
                         f"got {value!r}"
                     )
-        for key in ("epoch_ms", "deadline_ms", "slo_ms", "damping"):
+        for key in ("epoch_ms", "deadline_ms", "slo_ms"):
             if key in params:
                 value = params[key]
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:

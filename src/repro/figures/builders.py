@@ -101,7 +101,7 @@ def build_table_2(inputs: FigureInputs) -> BuiltFigure:
 
 
 #: Regression name -> paper-reported train R^2 (Eq. 3 / 21 / 10 / 12).
-_PAPER_R2 = (
+PAPER_R2 = (
     ("compute_resource", 0.870),
     ("mean_power", 0.863),
     ("encoding_latency", 0.790),
@@ -122,7 +122,7 @@ def build_regression_quality(inputs: FigureInputs) -> BuiltFigure:
     r2 = inputs.context.coefficients.r_squared
     rows = [
         (name, f"{paper:.3f}", f"{r2.get(name, float('nan')):.3f}")
-        for name, paper in _PAPER_R2
+        for name, paper in PAPER_R2
     ]
     text = "Regression fit quality (train R^2)\n" + format_table(
         rows, headers=("regression", "paper", "reproduction")
@@ -131,7 +131,7 @@ def build_regression_quality(inputs: FigureInputs) -> BuiltFigure:
         ("regression", "paper", "reproduction"),
         [
             {"regression": name, "paper": paper, "reproduction": r2.get(name)}
-            for name, paper in _PAPER_R2
+            for name, paper in PAPER_R2
         ],
     )
     spec = vega_lite_spec(
@@ -144,7 +144,7 @@ def build_regression_quality(inputs: FigureInputs) -> BuiltFigure:
         },
     )
     measured = "{:.2f} / {:.2f} / {:.2f} / {:.2f} (synthetic campaign)".format(
-        *(r2.get(name, float("nan")) for name, _ in _PAPER_R2)
+        *(r2.get(name, float("nan")) for name, _ in PAPER_R2)
     )
     return BuiltFigure(
         name="regression_quality",
@@ -466,10 +466,6 @@ def _register_studies() -> None:
         lambda inputs: extensions.multi_edge_extension(),
         "Extension: multi-edge placement",
     )
-    # The committed artifacts for these two are also (re)written by
-    # benchmarks/test_bench_extensions.py; the full-mode parameters here
-    # must stay identical to the benchmark kwargs or a local benchmark run
-    # and 'figures check' disagree about results/.
     _register_extension(
         "extension_session",
         lambda inputs: extensions.session_extension(

@@ -13,10 +13,10 @@ Composition: one :class:`XRPerformanceModel` per *device model* (memoized,
 sharing a single :class:`CoefficientSet`), per-user network parameters
 adjusted by the :class:`ContentionModel`, per-tenant edge queueing delay
 from the :class:`EdgeScheduler`, and placements chosen by an
-:class:`AdmissionPolicy`.  The population is grouped once into
-``(device, app)`` equivalence classes.  Reports, service times and outcome
-totals are computed once per class; only the candidate, the policy decision
-and the outcome are built per user.
+:class:`AdmissionPolicy`.  Users fall into the population's ``(device,
+app)`` equivalence classes (:meth:`FleetPopulation.classes`).  Reports,
+service times and outcome totals are computed once per class; only the
+candidate, the policy decision and the outcome are built per user.
 
 With a single user the analyzer degenerates exactly to the paper's model:
 contention leaves the channel untouched at ``N == 1`` and a sole edge tenant
@@ -274,41 +274,32 @@ class FleetAnalyzer:
     def _class_candidates(self) -> Tuple[List[int], List[_UserClass], List[UserCandidate]]:
         """Each user's class index, the classes, and the per-user candidates.
 
-        Users are keyed on ``(device, id(app))`` first, so each distinct
-        config object is hashed once, and then on ``(device, app)`` equality,
-        so equal but distinct apps share a class.  Classes are numbered in
-        order of first appearance; every mode variant, report and service
-        time is looked up once per class.
+        The classes are :meth:`FleetPopulation.classes`; every mode variant,
+        report and service time is looked up once per class.
         """
-        by_object: Dict[Tuple[str, int], int] = {}
-        by_value: Dict[Tuple[str, ApplicationConfig], int] = {}
-        class_of: List[int] = []
-        for user in self.population:
-            index = by_object.get((user.device, id(user.app)))
-            if index is None:
-                index = by_value.setdefault((user.device, user.app), len(by_value))
-                by_object[user.device, id(user.app)] = index
-            class_of.append(index)
-        wants = [app.inference.mode is not ExecutionMode.LOCAL for _, app in by_value]
-        n_wants = sum(wants[index] for index in class_of)
+        class_array, keys = self.population.classes()
+        class_of = class_array.tolist()
+        wants = [app.inference.mode is not ExecutionMode.LOCAL for _, app in keys]
+        sizes = np.bincount(class_array, minlength=len(keys)).tolist()
+        n_wants = sum(size for size, offload in zip(sizes, wants) if offload)
         remote_network = self.contention.network_for(max(n_wants, 1))
         apps = [
             (
                 self._mode_variant(app, ExecutionMode.LOCAL),
                 app if offload else self._mode_variant(app, ExecutionMode.REMOTE),
             )
-            for (_, app), offload in zip(by_value, wants)
+            for (_, app), offload in zip(keys, wants)
         ]
         reports = self._batch_reports(
             [
                 key
-                for (device, _), (local_app, remote_app) in zip(by_value, apps)
+                for (device, _), (local_app, remote_app) in zip(keys, apps)
                 for key in ((device, local_app, self.network), (device, remote_app, remote_network))
             ]
         )
         classes: List[_UserClass] = []
         for (device, app), pair, offload, local, remote in zip(
-            by_value, apps, wants, reports[0::2], reports[1::2]
+            keys, apps, wants, reports[0::2], reports[1::2]
         ):
             candidate = UserCandidate(
                 name=device,

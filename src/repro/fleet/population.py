@@ -93,6 +93,42 @@ class FleetPopulation:
             counts[user.device] = counts.get(user.device, 0) + 1
         return counts
 
+    def classes(self) -> Tuple[np.ndarray, Tuple[Tuple[str, ApplicationConfig], ...]]:
+        """Each user's equivalence class and the class keys.
+
+        The paper's model gives one answer per ``(device, app)``
+        configuration, so users with equal device and app form one class.
+        Users are keyed on ``(device, id(app))`` first, so each distinct
+        config object is hashed once, and then on ``(device, app)``
+        equality, so equal but distinct apps share a class.
+
+        Returns ``(class_of, keys)``: a read-only ``intp`` array with each
+        user's class index, and the ``(device, app)`` key of every class in
+        order of first appearance (the app object is its first user's).
+        Computed once per population; the memo is not part of equality,
+        hashing, the repr or the pickled state.
+        """
+        memo = self.__dict__.get("_classes")
+        if memo is None:
+            by_object: Dict[Tuple[str, int], int] = {}
+            by_value: Dict[Tuple[str, ApplicationConfig], int] = {}
+            class_of = []
+            for user in self.users:
+                index = by_object.get((user.device, id(user.app)))
+                if index is None:
+                    index = by_value.setdefault((user.device, user.app), len(by_value))
+                    by_object[user.device, id(user.app)] = index
+                class_of.append(index)
+            array = np.array(class_of, dtype=np.intp)
+            array.flags.writeable = False
+            memo = self.__dict__["_classes"] = (array, tuple(by_value))
+        return memo
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle the field alone: shards ship populations, and the
+        # classes() memo is rebuilt on demand.
+        return {"users": self.users}
+
     def subset(self, n: int) -> "FleetPopulation":
         """The first ``n`` users as a new population (for capacity bisection)."""
         if not 0 < n <= len(self.users):

@@ -15,6 +15,7 @@ from repro.adaptive.controllers import (
     GreedyBatchSweep,
     HysteresisThreshold,
     StaticBaseline,
+    make_controller,
 )
 from repro.adaptive.runtime import AdaptiveRuntime
 from repro.adaptive.traces import (
@@ -180,3 +181,19 @@ class TestEwmaPredictive:
         a = burst_runtime.run(EwmaPredictive(epsilon=0.0, seed=1))
         b = burst_runtime.run(EwmaPredictive(epsilon=0.0, seed=99))
         assert a.chosen_indices == b.chosen_indices
+
+
+class TestMakeController:
+    def test_names_build_fresh_default_controllers(self):
+        for name, cls in (
+            ("hysteresis", HysteresisThreshold),
+            ("greedy", GreedyBatchSweep),
+            ("ewma", EwmaPredictive),
+        ):
+            controller = make_controller(name)
+            assert type(controller) is cls
+            assert make_controller(name) is not controller
+
+    def test_unknown_name_lists_the_choices(self):
+        with pytest.raises(ConfigurationError, match=r"'static'.*\['ewma', 'greedy', 'hysteresis'\]"):
+            make_controller("static")

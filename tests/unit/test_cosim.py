@@ -342,8 +342,6 @@ class TestValidationAndReport:
         with pytest.raises(ConfigurationError):
             CoSimulation(population, GreedyBatchSweep(), trace, max_iterations=1)
         with pytest.raises(ConfigurationError):
-            CoSimulation(population, GreedyBatchSweep(), trace, damping=0.0)
-        with pytest.raises(ConfigurationError):
             CoSimulation(population, GreedyBatchSweep(), "not-a-trace")
 
     def test_summary_and_json_roundtrip(self):

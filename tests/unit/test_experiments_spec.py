@@ -38,7 +38,6 @@ def _rich_spec() -> ScenarioSpec:
             "n_edges": 2,
             "shards": 2,
             "deadline_ms": 650.0,
-            "damping": 0.25,
         },
         expected={"deadline_miss_rate": 0.0},
         tolerances={"deadline_miss_rate": 1e-9, "total_energy_j": 0.01},
@@ -146,6 +145,10 @@ class TestValidation:
             ScenarioSpec(name="x", kind="analyze", params={"users": 4})
         with pytest.raises(ConfigurationError, match="unknown parameter"):
             ScenarioSpec(name="x", kind="sweep", params={"trace": "burst"})
+
+    def test_cosim_damping_is_an_unknown_parameter(self):
+        with pytest.raises(ConfigurationError, match="unknown parameter 'damping'"):
+            ScenarioSpec(name="x", kind="cosim", params={"damping": 0.5})
 
     def test_param_values_validated(self):
         with pytest.raises(ConfigurationError, match="trace"):
