@@ -9,13 +9,15 @@ latency/energy/AoI under the *true* epoch conditions.
 
 Candidate evaluation goes through the structure-group path of the
 vectorized batch engine (:func:`repro.batch.engine.group_points`): the
-candidates are grouped once, the epoch throughput streams in as a column,
-and each distinct (quantized) handoff probability costs one conditioned
-network per group.  The runtime therefore pre-warms its per-epoch sweep
+candidates are grouped and prepared once (every term that depends on
+neither throughput nor handoff probability), the epoch throughput streams
+in as a column, and each distinct handoff probability costs one Eq. (17)
+handoff latency per group.  The runtime pre-warms its per-epoch sweep
 cache with **one** batched call over all ``epochs x candidates`` points —
 after which a full-grid controller like
 :class:`~repro.adaptive.controllers.GreedyBatchSweep` costs an array argmin
-per epoch.
+per epoch — and a condition it never saw only finishes the prepared
+groups.
 
 Quality model
 -------------
@@ -37,7 +39,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.adaptive.traces import ConditionTrace, EpochConditions
-from repro.batch.engine import PointGroup, _evaluate_groups, group_points
+from repro.batch.engine import _GroupEvaluator, _Prepared, group_points
 from repro.batch.grid import OperatingPoint
 from repro.batch.result import BatchResult
 from repro.cnn.zoo import get_cnn
@@ -154,10 +156,15 @@ class ControlContext:
 
     The context owns the candidate set, the deadline, the quality scores
     and a memoized per-conditions sweep of the whole candidate list.  The
-    candidates are bucketed into structure groups once, at construction;
-    a live sweep and a pre-warm pass (:meth:`prewarm`, every epoch of a
-    trace) both evaluate those groups in a single batched call, with no
-    per-point config objects.
+    candidates are bucketed into structure groups once, at construction,
+    and each group is prepared once, at the first sweep
+    (:meth:`repro.batch.engine._GroupEvaluator.prepare`: every term that
+    depends on neither throughput nor handoff probability).  Per handoff
+    probability the context keeps one handoff latency float per group.  A
+    live sweep and a pre-warm pass (:meth:`prewarm`, every epoch of a
+    trace) then both only *finish* the prepared groups under the epoch
+    throughputs, in a single batched call, with no per-point config objects
+    and no new evaluator; the cache stays O(groups) in arrays.
 
     Args:
         candidates: the operating points the controller chooses among.
@@ -194,7 +201,8 @@ class ControlContext:
         self.include_aoi = include_aoi
         self.quality = np.asarray([candidate_quality(p) for p in self.candidates])
         self._groups = group_points(self.candidates)
-        self._conditioned_networks: Dict[float, List[NetworkConfig]] = {}
+        self._prepared: Optional[List[Tuple[_GroupEvaluator, _Prepared]]] = None
+        self._handoff_ms: Dict[float, List[float]] = {}
         self._memo: Dict[Tuple[float, float], CandidateEvaluation] = {}
 
     @property
@@ -209,7 +217,7 @@ class ControlContext:
         Bundled trace generators quantize the handoff probability to the
         coarse 0.005 grid of :data:`repro.adaptive.traces
         .HANDOFF_PROBABILITY_STEP` (that is a batching optimisation — each
-        distinct value costs one conditioned network per candidate group),
+        distinct value costs one handoff latency per candidate group),
         but the key deliberately does **not** re-quantize: hand-built or
         co-sim-generated conditions that fall off that grid get their own
         memo entry instead of silently aliasing a neighbouring grid point's
@@ -219,48 +227,72 @@ class ControlContext:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _networks_at(self, handoff_probability: float) -> List[NetworkConfig]:
-        """Each candidate group's network with handoffs at ``handoff_probability`` (memoized)."""
-        networks = self._conditioned_networks.get(handoff_probability)
-        if networks is None:
-            networks = [
-                replace(
-                    group.network,
-                    handoff=replace(
-                        group.network.handoff,
-                        enabled=True,
-                        handoff_probability=handoff_probability,
-                    ),
+    def _handoffs_at(self, handoff_probability: float) -> List[float]:
+        """Each candidate group's Eq. (17) handoff latency at ``handoff_probability`` (memoized)."""
+        handoffs = self._handoff_ms.get(handoff_probability)
+        if handoffs is None:
+            handoffs = []
+            for group, (evaluator, _) in zip(self._groups, self._prepared):
+                handoff = replace(
+                    group.network.handoff, enabled=True, handoff_probability=handoff_probability
                 )
-                for group in self._groups
-            ]
-            self._conditioned_networks[handoff_probability] = networks
-        return networks
+                network = replace(group.network, handoff=handoff)
+                handoffs.append(evaluator.handoff_latency_ms(network))
+            self._handoff_ms[handoff_probability] = handoffs
+        return handoffs
+
+    def _prepare(self) -> List[Tuple[_GroupEvaluator, _Prepared]]:
+        """One evaluator per candidate group, with its prepared terms."""
+        prepared = []
+        for group in self._groups:
+            evaluator = _GroupEvaluator(
+                group.device,
+                group.edge,
+                group.app,
+                group.network,
+                self.coefficients,
+                self.complexity_mode,
+                self.include_aoi,
+            )
+            axes = {k: v for k, v in group.columns.items() if k != "throughput_mbps"}
+            prepared.append((evaluator, evaluator.prepare(**axes)))
+        return prepared
 
     def _evaluate(self, fresh: Sequence[EpochConditions]) -> None:
         """Memoize every candidate's sweep under each distinct condition in ``fresh``.
 
-        One batched call: the candidate groups are tiled once per epoch that
-        shares a handoff probability, with the epoch throughputs as a column.
+        The candidate groups were prepared once; each condition only
+        finishes them with its throughput and handoff latency.  Epochs that
+        share a handoff probability finish a group in one call, with the
+        prepared terms tiled once per epoch.
         """
         n = self.n_candidates
         epochs_at: Dict[float, List[int]] = {}
         for i, conditions in enumerate(fresh):
             epochs_at.setdefault(float(conditions.handoff_probability), []).append(i)
         throughput = np.asarray([c.throughput_mbps for c in fresh], dtype=float)
-        groups: List[PointGroup] = []
-        for probability, indices in epochs_at.items():
-            epochs = np.asarray(indices, dtype=np.intp)
-            for group, network in zip(self._groups, self._networks_at(probability)):
-                columns = {name: np.tile(col, len(epochs)) for name, col in group.columns.items()}
-                columns["throughput_mbps"] = np.repeat(throughput[epochs], len(group.positions))
-                positions = (epochs[:, None] * n + group.positions).ravel()
-                groups.append(
-                    replace(group, network=network, positions=positions, columns=columns)
-                )
-        result = _evaluate_groups(
-            groups, len(fresh) * n, self.coefficients, self.complexity_mode, self.include_aoi
-        )
+        with telemetry.get().span(
+            "batch.evaluate_points",
+            points=len(fresh) * n,
+            groups=len(epochs_at) * len(self._groups),
+        ):
+            if self._prepared is None:
+                self._prepared = self._prepare()
+            results = []
+            for probability, indices in epochs_at.items():
+                epochs = np.asarray(indices, dtype=np.intp)
+                for (evaluator, prepared), group, handoff_ms in zip(
+                    self._prepared, self._groups, self._handoffs_at(probability)
+                ):
+                    results.append(
+                        evaluator.finish(
+                            prepared,
+                            np.repeat(throughput[epochs], len(group.positions)),
+                            handoff_ms,
+                            (epochs[:, None] * n + group.positions).ravel(),
+                        )
+                    )
+            result = BatchResult(groups=results, n_points=len(fresh) * n)
         latency, energy = result.total_latency_ms, result.total_energy_mj
         min_roi = _min_roi_array(result)
         for i, conditions in enumerate(fresh):
@@ -686,6 +718,9 @@ class AdaptiveRuntime:
         scheduler = EventScheduler()
         scheduler.schedule_at(0.0, step)
         scheduler.run(max_events=trace.n_epochs + 1)
+        # ``step`` refers to itself; dropping it breaks the cycle, so a
+        # finished run is freed by reference counting, not the cyclic GC.
+        del step
         return self._report(controller.name, outcomes)
 
     def _report(self, name: str, outcomes: List[EpochOutcome]) -> AdaptationReport:

@@ -48,9 +48,9 @@ MIN_THROUGHPUT_MBPS: float = 0.5
 #: Handoff probabilities are quantized to this step so that a whole trace
 #: contains only a few distinct values.  The handoff probability is part of
 #: a batch group's *structure* (unlike throughput, which is a vectorized
-#: column), so the adaptive runtime builds one conditioned network per
+#: column), so the adaptive runtime derives one handoff latency per
 #: candidate group for each distinct value; fewer distinct values mean fewer
-#: networks and fewer groups in its one-call epochs-x-candidates pre-warm.
+#: of those and fewer groups in its one-call epochs-x-candidates pre-warm.
 HANDOFF_PROBABILITY_STEP: float = 0.005
 
 

@@ -22,6 +22,21 @@ The vectorized numeric axes are the frame side, the CPU/GPU clocks, the
 encoder bitrate and the wireless throughput; every other field (sensors,
 handoff, cooperation, CNN selection, buffer rate, frame rate, ...) is part
 of the group structure and may differ freely *between* groups.
+
+Prepare, then finish
+--------------------
+A group evaluation is two stages, and :meth:`_GroupEvaluator.evaluate` is
+exactly ``finish(prepare(...))``.  :meth:`~_GroupEvaluator.prepare` computes
+every term that depends on neither the throughput nor the handoff
+probability (Eqs. 2-4, 9-15 and 21, their energies, and the rendering
+partial sum ``side / c + raw_mem + buffering``);
+:meth:`~_GroupEvaluator.finish` adds the throughput terms (the Eq. 8 result
+transfer, Eq. 16 transmission, Eq. 18 cooperation) and the Eq. 17 handoff,
+then the totals and AoI.  Addition is left-associative, so completing the
+cached partial sum is the same operation sequence as the one-pass
+expression, and the split changes no bit.  The adaptive
+:class:`~repro.adaptive.runtime.ControlContext` prepares its candidate
+groups once and then only finishes them per control epoch.
 """
 
 from __future__ import annotations
@@ -134,6 +149,45 @@ def group_points(points: Sequence[OperatingPoint]) -> List[PointGroup]:
     return groups
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """The throughput- and handoff-free part of one group's evaluation.
+
+    Built by :meth:`_GroupEvaluator.prepare`; :meth:`_GroupEvaluator.finish`
+    completes it.  ``latency`` / ``energy`` are in the scalar segment
+    insertion order (which fixes the summation order of the totals); the
+    throughput and handoff segments hold ``None`` until ``finish``.
+    """
+
+    client_compute: np.ndarray
+    edge_compute: Optional[np.ndarray]
+    mean_power: np.ndarray
+    clamped_points: int
+    latency: Dict[Segment, Optional[np.ndarray]]
+    energy: Dict[Segment, Optional[np.ndarray]]
+    rendering_partial: np.ndarray
+    encoded_megabits: Optional[np.ndarray]
+
+    def tile(self, reps: int) -> _Prepared:
+        """The same terms repeated ``reps`` times over (``self`` when ``reps == 1``)."""
+        if reps == 1:
+            return self
+
+        def tiled(values: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            return None if values is None else np.tile(values, reps)
+
+        return _Prepared(
+            client_compute=tiled(self.client_compute),
+            edge_compute=tiled(self.edge_compute),
+            mean_power=tiled(self.mean_power),
+            clamped_points=self.clamped_points * reps,
+            latency={segment: tiled(v) for segment, v in self.latency.items()},
+            energy={segment: tiled(v) for segment, v in self.energy.items()},
+            rendering_partial=tiled(self.rendering_partial),
+            encoded_megabits=tiled(self.encoded_megabits),
+        )
+
+
 class _GroupEvaluator:
     """Vectorized evaluator for one structure group.
 
@@ -186,11 +240,7 @@ class _GroupEvaluator:
         self.virtual_scene_side_px = app.virtual_scene_side_px
         self.external_ms = self._external_information_ms()
         self.buffering_ms = self._buffering_ms()
-        self.handoff_ms = (
-            HandoffModel(network.handoff).mean_handoff_latency_ms(self.frame_period_ms)
-            if self.uses_remote_path
-            else 0.0
-        )
+        self.handoff_ms = self.handoff_latency_ms(network)
         self.edge_propagation_ms = network.propagation_delay_ms(network.edge_distance_m)
         # Result-transfer constants of Eq. (8).
         self.result_megabits = INFERENCE_RESULT_SIZE_MB * 8.0
@@ -257,6 +307,24 @@ class _GroupEvaluator:
                 )
             else:
                 self.aoi_buffer_time_ms = 0.0
+            # Eq. (23) terms that do not depend on the point, shaped
+            # (sensor, update index, point) for broadcasting.
+            speed = network.propagation_speed_m_per_s
+            periods = [sensor.generation_period_ms for sensor in network.sensors]
+            overheads = [
+                (sensor.distance_m / speed) * 1e3 + self.aoi_buffer_time_ms
+                for sensor in network.sensors
+            ]
+            self.aoi_sensor_names = tuple(sensor.name for sensor in network.sensors)
+            self.aoi_period = np.array(periods)[:, None, None]
+            self.aoi_overhead = np.array(overheads)[:, None, None]
+            self.aoi_slow_offset = np.array(
+                [
+                    [index * period + overhead for index in range(1, self.updates_per_frame + 1)]
+                    for period, overhead in zip(periods, overheads)
+                ]
+            )[:, :, None]
+            self.aoi_request_index = np.arange(self.updates_per_frame, dtype=float)[:, None]
 
     # -- point-independent helpers (scalar) -----------------------------------
 
@@ -274,6 +342,12 @@ class _GroupEvaluator:
             )
             totals.append(sensor.total_latency_ms(app.sensor_updates_per_frame))
         return max(totals)
+
+    def handoff_latency_ms(self, network: NetworkConfig) -> float:
+        """Eq. (17) for this group under ``network``'s handoff settings."""
+        if not self.uses_remote_path:
+            return 0.0
+        return HandoffModel(network.handoff).mean_handoff_latency_ms(self.frame_period_ms)
 
     def _buffering_ms(self) -> float:
         """Eq. (7), identical to ``InputBuffer.analytical_delays(...).total_ms``."""
@@ -342,36 +416,33 @@ class _GroupEvaluator:
             )
         return value
 
-    def evaluate(
+    def prepare(
         self,
         frame_side_px: np.ndarray,
         cpu_freq_ghz: np.ndarray,
         gpu_freq_ghz: np.ndarray,
         bitrate_mbps: np.ndarray,
-        throughput_mbps: np.ndarray,
-        positions: np.ndarray,
-    ) -> GroupResult:
-        """Evaluate the group over aligned per-point value arrays."""
+    ) -> _Prepared:
+        """Every term of the group that depends on neither throughput nor handoff.
+
+        Covers Eqs. (2)-(4), (9)-(15) and (21) with their energies, plus the
+        rendering partial sum ``side / c + raw_mem + buffering`` that
+        :meth:`finish` completes with the Eq. (8) result transfer.
+        """
         side = np.asarray(frame_side_px, dtype=float)
         fc = np.asarray(cpu_freq_ghz, dtype=float)
         fg = np.asarray(gpu_freq_ghz, dtype=float)
         bitrate = np.asarray(bitrate_mbps, dtype=float)
         n = side.shape[0]
-        if self.link_budget_throughput is not None:
-            thr = np.full(n, self.link_budget_throughput)
-        else:
-            thr = np.asarray(throughput_mbps, dtype=float)
         # Written as "not all > 0" so NaN fails the check too.
         if not np.all(side > 0.0):
             raise ConfigurationError("frame sides must be > 0 at every point")
-        if not np.all(thr > 0.0):
-            raise ConfigurationError("throughputs must be > 0 at every point")
 
         c = self._client_compute(fc, fg)
         raw_mb = ((side * side) * 1.5) / 1e6  # units.yuv_frame_size_mb
         raw_mem = raw_mb / self.mem_bw
 
-        segments: Dict[Segment, np.ndarray] = {}
+        segments: Dict[Segment, Optional[np.ndarray]] = {}
         # Eq. (2)
         segments[Segment.FRAME_GENERATION] = (
             self.frame_period_ms + side / c + raw_mem
@@ -382,16 +453,9 @@ class _GroupEvaluator:
         )
         # Eqs. (5)-(6)
         segments[Segment.EXTERNAL] = np.full(n, self.external_ms)
-        # Eq. (8): rendering = raster + memory + buffering + result transfer.
-        if self.local:
-            result_transfer = np.full(n, self.result_transfer_local_ms)
-        else:
-            result_transfer = (
-                self.result_megabits / thr
-            ) * 1e3 + self.edge_propagation_ms
-        segments[Segment.RENDERING] = (
-            side / c + raw_mem + self.buffering_ms + result_transfer
-        )
+        # Eq. (8) without its result-transfer term, which finish() adds last.
+        segments[Segment.RENDERING] = None
+        rendering_partial = side / c + raw_mem + self.buffering_ms
 
         if self.uses_local_path:
             # Eq. (9)
@@ -413,6 +477,7 @@ class _GroupEvaluator:
                 )
 
         edge_compute: Optional[np.ndarray] = None
+        encoded_megabits: Optional[np.ndarray] = None
         if self.uses_remote_path:
             numerator = self._encoding_numerator(side, bitrate)
             # Eq. (10)
@@ -450,19 +515,93 @@ class _GroupEvaluator:
                         per_share if remote is None else np.maximum(remote, per_share)
                     )
                 segments[Segment.REMOTE_INFERENCE] = remote
+            # Eqs. (16)-(17), filled by finish(); Eq. (16)'s encoded megabits.
+            segments[Segment.TRANSMISSION] = None
+            segments[Segment.HANDOFF] = None
+            encoded_megabits = (raw_mb / self.app.encoder.compression_ratio) * 8.0
+        if self.cooperation_enabled:
+            # Eq. (18), filled by finish().
+            segments[Segment.COOPERATION] = None
+
+        # -- energy (Eqs. 20-21) of the fixed segments --------------------------
+        mean_power, clamped_points = self._mean_power(fc, fg)
+        energy = {
+            segment: (
+                None
+                if latency is None
+                else (self.segment_factors[segment.value] * mean_power) * latency
+            )
+            for segment, latency in segments.items()
+        }
+        return _Prepared(
+            client_compute=c,
+            edge_compute=edge_compute,
+            mean_power=mean_power,
+            clamped_points=clamped_points,
+            latency=segments,
+            energy=energy,
+            rendering_partial=rendering_partial,
+            encoded_megabits=encoded_megabits,
+        )
+
+    def finish(
+        self,
+        prepared: _Prepared,
+        throughput_mbps: np.ndarray,
+        handoff_ms: float,
+        positions: np.ndarray,
+    ) -> GroupResult:
+        """Complete a prepared group under per-point throughputs and a handoff latency.
+
+        Fills the throughput terms (the Eq. 8 result transfer, Eq. 16
+        transmission, Eq. 18 cooperation) and the Eq. 17 handoff, with their
+        energies, then the Eq. 1 / Eq. 19 totals, thermal/base energy and AoI.
+        ``throughput_mbps`` and ``positions`` may cover the prepared points
+        several times over (one tile per condition, in order); the prepared
+        arrays are then repeated to match.
+        """
+        positions = np.asarray(positions, dtype=np.intp)
+        n = positions.shape[0]
+        prepared = prepared.tile(n // prepared.client_compute.shape[0])
+        if self.link_budget_throughput is not None:
+            thr = np.full(n, self.link_budget_throughput)
+        else:
+            thr = np.asarray(throughput_mbps, dtype=float)
+        if not np.all(thr > 0.0):
+            raise ConfigurationError("throughputs must be > 0 at every point")
+
+        # Eq. (8): rendering = raster + memory + buffering + result transfer.
+        if self.local:
+            result_transfer = np.full(n, self.result_transfer_local_ms)
+        else:
+            result_transfer = (
+                self.result_megabits / thr
+            ) * 1e3 + self.edge_propagation_ms
+        # Filling the placeholders keeps the scalar segment insertion order.
+        segments = dict(prepared.latency)
+        energy = dict(prepared.energy)
+        segments[Segment.RENDERING] = prepared.rendering_partial + result_transfer
+        rendering_power = self.segment_factors[Segment.RENDERING.value] * prepared.mean_power
+        energy[Segment.RENDERING] = rendering_power * segments[Segment.RENDERING]
+        if self.uses_remote_path:
             # Eq. (16)
-            encoded_mb = raw_mb / self.app.encoder.compression_ratio
             segments[Segment.TRANSMISSION] = (
-                (encoded_mb * 8.0) / thr
+                prepared.encoded_megabits / thr
             ) * 1e3 + self.edge_propagation_ms
             # Eq. (17)
-            segments[Segment.HANDOFF] = np.full(n, self.handoff_ms)
-
+            segments[Segment.HANDOFF] = np.full(n, handoff_ms)
+            energy[Segment.TRANSMISSION] = (
+                self.network.radio_tx_power_w * segments[Segment.TRANSMISSION]
+            )
+            energy[Segment.HANDOFF] = self.network.handoff.power_w * segments[Segment.HANDOFF]
         if self.cooperation_enabled:
             # Eq. (18)
             segments[Segment.COOPERATION] = (
                 self.coop_megabits / thr
             ) * 1e3 + self.coop_propagation_ms
+            energy[Segment.COOPERATION] = (
+                self.network.radio_tx_power_w * segments[Segment.COOPERATION]
+            )
 
         included = frozenset(self._included_unrestricted & set(segments))
 
@@ -471,18 +610,6 @@ class _GroupEvaluator:
         for segment, values in segments.items():
             if segment in included:
                 total_latency = total_latency + values
-
-        # -- energy (Eqs. 19-21) --------------------------------------------------
-        mean_power, clamped_points = self._mean_power(fc, fg)
-        energy: Dict[Segment, np.ndarray] = {}
-        for segment, latency in segments.items():
-            if segment is Segment.HANDOFF:
-                power: Union[float, np.ndarray] = self.network.handoff.power_w
-            elif segment in (Segment.TRANSMISSION, Segment.COOPERATION):
-                power = self.network.radio_tx_power_w
-            else:
-                power = self.segment_factors[segment.value] * mean_power
-            energy[segment] = power * latency
 
         compute_energy = np.zeros(n)
         for segment, values in energy.items():
@@ -517,53 +644,57 @@ class _GroupEvaluator:
             thermal_mj=thermal,
             base_mj=base,
             total_energy_mj=total_energy,
-            client_compute=c,
-            edge_compute=edge_compute,
-            mean_power_w=mean_power,
-            positions=np.asarray(positions, dtype=np.intp),
+            client_compute=prepared.client_compute,
+            edge_compute=prepared.edge_compute,
+            mean_power_w=prepared.mean_power,
+            positions=positions,
             aoi=aoi,
-            power_clamp_count=clamped_points * power_evals_per_point,
+            power_clamp_count=prepared.clamped_points * power_evals_per_point,
         )
+
+    def evaluate(
+        self,
+        frame_side_px: np.ndarray,
+        cpu_freq_ghz: np.ndarray,
+        gpu_freq_ghz: np.ndarray,
+        bitrate_mbps: np.ndarray,
+        throughput_mbps: np.ndarray,
+        positions: np.ndarray,
+    ) -> GroupResult:
+        """Evaluate the group over aligned per-point value arrays."""
+        prepared = self.prepare(frame_side_px, cpu_freq_ghz, gpu_freq_ghz, bitrate_mbps)
+        return self.finish(prepared, throughput_mbps, self.handoff_ms, positions)
 
     # -- AoI (Eqs. 22-26) --------------------------------------------------------
 
     def _evaluate_aoi(self, total_latency_ms: np.ndarray) -> GroupAoI:
-        network = self.network
         updates = self.updates_per_frame
-        buffer_time = self.aoi_buffer_time_ms
         required_period = total_latency_ms / updates
         required_frequency = 1e3 / required_period
-
-        average_aoi: Dict[str, np.ndarray] = {}
-        roi: Dict[str, np.ndarray] = {}
-        processed: Dict[str, np.ndarray] = {}
-        speed = network.propagation_speed_m_per_s
-        for sensor in network.sensors:
-            generation_period = sensor.generation_period_ms
-            propagation = (sensor.distance_m / speed) * 1e3
-            overhead = propagation + buffer_time
-            slow = generation_period >= required_period
-            accumulator: Optional[np.ndarray] = None
-            for index in range(1, updates + 1):
-                request_time = (index - 1) * required_period
-                # Eq. (23): a sensor slower than the requirement accumulates
-                # AoI linearly; a faster sensor always has a fresh sample.
-                aoi_slow = index * generation_period + overhead - request_time
-                aoi_fast = request_time % generation_period + overhead
-                aoi_n = np.where(slow, aoi_slow, aoi_fast)
-                accumulator = aoi_n if accumulator is None else accumulator + aoi_n
-            mean_aoi = accumulator / updates
-            average_aoi[sensor.name] = mean_aoi
-            processed_hz = np.where(mean_aoi > 0.0, 1e3 / mean_aoi, np.inf)
-            processed[sensor.name] = processed_hz
-            roi[sensor.name] = processed_hz / required_frequency
+        # Every sensor and update index at once, shaped (sensor, update, point).
+        request_time = self.aoi_request_index * required_period
+        # Eq. (23): a sensor slower than the requirement accumulates AoI
+        # linearly; a faster sensor always has a fresh sample.
+        aoi = np.where(
+            self.aoi_period >= required_period,
+            self.aoi_slow_offset - request_time,
+            request_time % self.aoi_period + self.aoi_overhead,
+        )
+        # Summed update by update, in the scalar model's order.
+        accumulator = aoi[:, 0]
+        for index in range(1, updates):
+            accumulator = accumulator + aoi[:, index]
+        mean_aoi = accumulator / updates
+        processed = np.where(mean_aoi > 0.0, 1e3 / mean_aoi, np.inf)
+        roi = processed / required_frequency
+        names = self.aoi_sensor_names
         return GroupAoI(
-            sensor_names=tuple(sensor.name for sensor in network.sensors),
-            average_aoi_ms=average_aoi,
-            roi=roi,
-            processed_frequency_hz=processed,
+            sensor_names=names,
+            average_aoi_ms=dict(zip(names, mean_aoi)),
+            roi=dict(zip(names, roi)),
+            processed_frequency_hz=dict(zip(names, processed)),
             required_frequency_hz=required_frequency,
-            buffer_time_ms=buffer_time,
+            buffer_time_ms=self.aoi_buffer_time_ms,
         )
 
 

@@ -20,8 +20,8 @@ def ensure_positive(name: str, value: float) -> float:
 
 
 def ensure_non_negative(name: str, value: float) -> float:
-    """Return ``value`` if >= 0, otherwise raise."""
-    if value < 0.0:
+    """Return ``value`` if >= 0, otherwise raise (NaN included)."""
+    if not value >= 0.0:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -680,6 +680,9 @@ class CoSimulation:
         clock = EventScheduler()
         clock.schedule_at(0.0, step)
         clock.run(max_events=n_epochs + 1)
+        # ``step`` refers to itself; dropping it breaks the cycle, so a
+        # finished run is freed by reference counting, not the cyclic GC.
+        del step
 
         class_reports: List[AdaptationReport] = []
         user_switches = np.zeros(n_users, dtype=int)

@@ -46,7 +46,8 @@ class ContentionModel:
     mac_efficiency: float = 0.65
 
     def __post_init__(self) -> None:
-        if self.collision_overhead < 0.0:
+        # Written as "not >= 0" so NaN fails the check too.
+        if not self.collision_overhead >= 0.0:
             raise ModelDomainError(
                 f"collision overhead must be >= 0, got {self.collision_overhead}"
             )

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adaptive.controllers import GreedyBatchSweep, StaticBaseline
 from repro.adaptive.runtime import (
@@ -23,6 +25,7 @@ from repro.adaptive.traces import (
     mobility_fading_trace,
 )
 from repro.batch import evaluate_points
+from repro.batch import engine
 from repro.batch.engine import group_points
 from repro.config.application import ApplicationConfig, CooperationConfig, ExecutionMode
 from repro.config.network import NetworkConfig, SensorConfig
@@ -245,6 +248,80 @@ class TestReferenceParity:
         )
 
 
+#: A condition: throughput, then a handoff probability on or off the 0.005 grid.
+_conditions = st.builds(
+    lambda throughput, probability: EpochConditions(
+        time_ms=0.0, throughput_mbps=throughput, handoff_probability=probability
+    ),
+    st.floats(min_value=1.0, max_value=500.0, allow_nan=False),
+    st.one_of(
+        st.integers(min_value=0, max_value=60).map(lambda k: k * 0.005),
+        st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
+    ),
+)
+#: A context's life: live misses ("sweep") and prewarms in random order.
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("sweep"), _conditions),
+        st.tuples(st.just("prewarm"), st.lists(_conditions, min_size=1, max_size=4)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestPreparedSweepParity:
+    """Prepared-once sweeps equal evaluate_points on built configs, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(operations=_operations)
+    def test_interleaved_prewarm_and_live_misses(self, heterogeneous_candidates, operations):
+        context = ControlContext(candidates=heterogeneous_candidates, deadline_ms=700.0)
+        seen = []
+        for kind, payload in operations:
+            if kind == "sweep":
+                context.sweep(payload)
+                seen.append(payload)
+            else:
+                trace = ConditionTrace(name="mixed", epoch_ms=100.0, epochs=tuple(payload))
+                context.prewarm(trace)
+                seen.extend(payload)
+        for conditions in seen:
+            reference = evaluate_points(
+                [_reference_point(p, conditions) for p in heterogeneous_candidates]
+            )
+            evaluation = context.sweep(conditions)
+            np.testing.assert_array_equal(evaluation.latency_ms, reference.total_latency_ms)
+            np.testing.assert_array_equal(evaluation.energy_mj, reference.total_energy_mj)
+            np.testing.assert_array_equal(evaluation.min_roi, _min_roi_array(reference))
+
+    def test_live_miss_builds_and_prepares_nothing(self, monkeypatch):
+        """After the first sweep a miss only finishes the prepared groups."""
+        context = ControlContext(candidates=default_candidates(), deadline_ms=700.0)
+        context.sweep(
+            EpochConditions(time_ms=0.0, throughput_mbps=80.0, handoff_probability=0.01)
+        )
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(engine._GroupEvaluator, name)
+
+            def counting(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            return counting
+
+        for name in ("__init__", "prepare", "finish"):
+            monkeypatch.setattr(engine._GroupEvaluator, name, counted(name))
+        context.sweep(
+            EpochConditions(time_ms=0.0, throughput_mbps=33.3, handoff_probability=0.0123)
+        )
+        assert calls["__init__"] == 0
+        assert calls["prepare"] == 0
+        assert calls["finish"] == len(group_points(context.candidates))
+
+
 class TestSelection:
     def _evaluation(self, latency, energy):
         return CandidateEvaluation(
@@ -331,3 +408,21 @@ class TestRuntime:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["n_epochs"] == 10
         assert payload["controller"] == "greedy-sweep"
+
+
+class TestFinishedRunIsFreed:
+    def test_runtime_is_freed_without_the_cyclic_gc(self):
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runtime = AdaptiveRuntime(trace=burst_trace(6, seed=1))
+            runtime.run(GreedyBatchSweep())
+            ref = weakref.ref(runtime)
+            del runtime
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

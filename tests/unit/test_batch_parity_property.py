@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.batch import OperatingPoint, evaluate_points
 from repro.config.application import ApplicationConfig, ExecutionMode
-from repro.config.network import NetworkConfig
+from repro.config.network import NetworkConfig, SensorConfig
 from repro.core.framework import XRPerformanceModel
 from repro.queueing.mg1 import MG1Queue
 from repro.queueing.mm1 import MM1Queue
@@ -88,6 +88,52 @@ def test_scalar_and_batch_agree(
     for name, value in scalar.aoi.roi.items():
         assert _close(batch.aoi.roi[name], value)
     assert _close(batch.aoi.required_frequency_hz, scalar.aoi.required_frequency_hz)
+
+
+sensor_sets = st.lists(
+    st.tuples(
+        st.floats(min_value=1.0, max_value=150.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=3,
+).map(
+    lambda specs: tuple(
+        SensorConfig(name=f"s{i}", generation_frequency_hz=hz, distance_m=distance)
+        for i, (hz, distance) in enumerate(specs)
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    device=devices,
+    mode=modes,
+    frame_side=frame_sides,
+    throughput=throughputs,
+    sensors=sensor_sets,
+    updates=st.integers(min_value=0, max_value=6),
+)
+def test_batch_aoi_equals_scalar_aoi_exactly(
+    device, mode, frame_side, throughput, sensors, updates
+):
+    """The array AoI (all sensors and updates at once) is the scalar loop, bit for bit."""
+    app = replace(
+        ApplicationConfig.object_detection_default().with_mode(mode),
+        frame_side_px=frame_side,
+        sensor_updates_per_frame=updates,
+    )
+    network = NetworkConfig(throughput_mbps=throughput, sensors=sensors)
+    model = XRPerformanceModel(device=device, edge="EDGE-AGX", app=app, network=network)
+    scalar = model.analyze(app, network, include_aoi=True).aoi
+    batch = evaluate_points(
+        [OperatingPoint(app=app, network=network, device=device, edge="EDGE-AGX")],
+        include_aoi=True,
+    ).aoi_at(0)
+    assert batch.average_aoi_ms == scalar.average_aoi_ms
+    assert batch.roi == scalar.roi
+    assert batch.processed_frequency_hz == scalar.processed_frequency_hz
+    assert batch.required_frequency_hz == scalar.required_frequency_hz
 
 
 # ---------------------------------------------------------------------------

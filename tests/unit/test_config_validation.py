@@ -27,6 +27,16 @@ class TestEnsureNonNegative:
         with pytest.raises(ConfigurationError):
             validation.ensure_non_negative("x", -0.1)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ConfigurationError, match="x must be >= 0"):
+            validation.ensure_non_negative("x", float("nan"))
+
+    def test_nan_config_field_rejected_at_construction(self):
+        from repro.config.network import NetworkConfig
+
+        with pytest.raises(ConfigurationError, match="radio_idle_power_w"):
+            NetworkConfig(radio_idle_power_w=float("nan"))
+
 
 class TestEnsureFraction:
     def test_accepts_bounds(self):

@@ -456,3 +456,23 @@ class TestSharding:
         # two-cell shard stays stable, so the sharded p95 must not be worse.
         assert two_cells.fleet_p95_latency_ms <= one_cell.fleet_p95_latency_ms
         assert two_cells.deadline_miss_rate <= one_cell.deadline_miss_rate
+
+
+class TestFinishedRunIsFreed:
+    """A finished run holds no reference cycle, so refcounting frees it."""
+
+    def test_cosimulation_is_freed_without_the_cyclic_gc(self):
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = CoSimulation(homogeneous(4), HysteresisThreshold(), burst_trace(6, seed=1))
+            sim.run()
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

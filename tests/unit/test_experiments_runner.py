@@ -110,20 +110,6 @@ class TestRunScenario:
         assert result.metrics["n_users"] == 4
         assert "n_unconverged_epochs" in result.metrics
 
-    def test_cosim_static_controller_is_a_configuration_error(self):
-        # Scenario validation accepts "static" for cosim, but a co-sim has no
-        # best-static reference to pin, so the run names the real choices.
-        result = run_scenario(
-            ScenarioSpec(
-                name="c",
-                kind="cosim",
-                params={"epochs": 3, "users": 2, "controller": "static"},
-            )
-        )
-        assert result.status == "error"
-        assert "ConfigurationError" in result.error
-        assert "unknown controller 'static'" in result.error
-
     def test_expected_drift_flips_status_to_check_failed(self):
         spec = ScenarioSpec(
             name="a",

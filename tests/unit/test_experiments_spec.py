@@ -150,6 +150,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown parameter 'damping'"):
             ScenarioSpec(name="x", kind="cosim", params={"damping": 0.5})
 
+    def test_cosim_static_controller_is_rejected_at_load(self):
+        # A co-sim has no best-static operating point to pin, so the spec
+        # refuses "static" up front instead of failing at run time.
+        with pytest.raises(ConfigurationError, match="controller must be one of"):
+            ScenarioSpec(name="x", kind="cosim", params={"controller": "static"})
+        assert ScenarioSpec(name="x", kind="adapt", params={"controller": "static"})
+
     def test_param_values_validated(self):
         with pytest.raises(ConfigurationError, match="trace"):
             ScenarioSpec(name="x", kind="adapt", params={"trace": "tsunami"})

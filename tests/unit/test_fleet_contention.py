@@ -60,6 +60,10 @@ class TestValidation:
         with pytest.raises(ModelDomainError):
             ContentionModel(network=network, collision_overhead=-0.1)
 
+    def test_nan_overhead_rejected_like_a_negative_one(self, network):
+        with pytest.raises(ModelDomainError, match="collision overhead"):
+            ContentionModel(network=network, collision_overhead=float("nan"))
+
 
 class TestSaturation:
     def test_saturation_station_count_is_boundary(self, contention):
